@@ -7,20 +7,23 @@
 //
 // Besides the console table, the run emits a machine-readable summary to
 // BENCH_fabric.json (override the path with RJF_BENCH_JSON): samples/s per
-// stage plus the bit-parallel and block-processing speedup ratios over the
-// scalar / per-tick reference paths, so the perf trajectory is trackable
-// across commits.
+// stage plus the bit-parallel, block-processing and trial-synthesis speedup
+// ratios over their per-sample / per-tick reference paths (same run, same
+// host), so the perf trajectory is trackable across commits.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <map>
+#include <numbers>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/detection_experiment.h"
 #include "core/templates.h"
 #include "dsp/noise.h"
 #include "dsp/resampler.h"
+#include "dsp/rng.h"
 #include "fpga/dsp_core.h"
 #include "obs/telemetry.h"
 #include "radio/usrp_n210.h"
@@ -157,6 +160,68 @@ void BM_Resample20to25(benchmark::State& state) {
 }
 BENCHMARK(BM_Resample20to25);
 
+// Trial synthesis: the capture noise fill and the CFO rotate-add that
+// core::synthesize_trial_capture runs per detection trial, each against its
+// per-sample oracle (Xoshiro256::complex_gaussian, core::cfo_phasor). One
+// item is one complex sample; a DSSS 1 Mb/s capture is ~67k samples.
+constexpr std::size_t kSynthSamples = 16384;
+
+void BM_NoiseFill(benchmark::State& state) {
+  dsp::NoiseSource noise(0.01, 1);
+  dsp::cvec capture(kSynthSamples);
+  for (auto _ : state) {
+    for (auto& s : capture) s = noise.sample();
+    benchmark::DoNotOptimize(capture.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(capture.size()));
+}
+BENCHMARK(BM_NoiseFill);
+
+void BM_NoiseReference(benchmark::State& state) {
+  dsp::Xoshiro256 rng(1);
+  dsp::cvec capture(kSynthSamples);
+  for (auto _ : state) {
+    for (auto& s : capture) s = rng.complex_gaussian(0.01);
+    benchmark::DoNotOptimize(capture.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(capture.size()));
+}
+BENCHMARK(BM_NoiseReference);
+
+// 3 kHz CFO at 25 MSPS, the detection harness's default bound.
+constexpr double kCfoW = 2.0 * std::numbers::pi * 3000.0 / 25e6;
+
+void BM_CfoRotate(benchmark::State& state) {
+  const dsp::cvec frame = dsp::make_wgn(kSynthSamples, 1.0, 3);
+  dsp::cvec capture(kSynthSamples);
+  for (auto _ : state) {
+    core::cfo_rotate_add(frame, kCfoW, capture);
+    benchmark::DoNotOptimize(capture.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_CfoRotate);
+
+void BM_CfoPhasorReference(benchmark::State& state) {
+  const dsp::cvec frame = dsp::make_wgn(kSynthSamples, 1.0, 3);
+  dsp::cvec capture(kSynthSamples);
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < frame.size(); ++k)
+      capture[k] += frame[k] * core::cfo_phasor(kCfoW, k);
+    benchmark::DoNotOptimize(capture.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_CfoPhasorReference);
+
 // Console reporter that also collects each benchmark's item rate so main()
 // can emit the BENCH_fabric.json summary.
 class RateCollector : public benchmark::ConsoleReporter {
@@ -209,6 +274,14 @@ int main(int argc, char** argv) {
   const double traced = collector.rate("BM_DspCoreRunBlockTraced");
   if (traced > 0.0 && block > 0.0)
     json.set("trace_attached_slowdown", block / traced);
+  const double noise_ref = collector.rate("BM_NoiseReference");
+  const double noise_fill = collector.rate("BM_NoiseFill");
+  if (noise_ref > 0.0 && noise_fill > 0.0)
+    json.set("noise_fill_speedup", noise_fill / noise_ref);
+  const double cfo_ref = collector.rate("BM_CfoPhasorReference");
+  const double cfo_rotate = collector.rate("BM_CfoRotate");
+  if (cfo_ref > 0.0 && cfo_rotate > 0.0)
+    json.set("cfo_rotate_speedup", cfo_rotate / cfo_ref);
 
   const char* path = std::getenv("RJF_BENCH_JSON");
   const std::string out = path ? path : "BENCH_fabric.json";

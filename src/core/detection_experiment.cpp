@@ -1,6 +1,8 @@
 #include "core/detection_experiment.h"
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <numbers>
 
 #include "dsp/db.h"
@@ -53,16 +55,47 @@ const DetectionTrialPlan& LazyPlanTable::get(std::size_t point) {
   return plans_[point];
 }
 
-dsp::cfloat cfo_phasor(double w, std::uint64_t k) noexcept {
+namespace {
+
+// Samples between re-anchors of cfo_rotate_add()'s phasor recurrence.
+constexpr std::size_t kCfoAnchorSamples = 64;
+
+// e^{j·w·k} in double, phase wrapped to [-pi, pi] first.
+std::complex<double> cfo_anchor(double w, std::uint64_t k) noexcept {
   const double phase =
       std::remainder(w * static_cast<double>(k), 2.0 * std::numbers::pi);
-  return dsp::cfloat{static_cast<float>(std::cos(phase)),
-                     static_cast<float>(std::sin(phase))};
+  return {std::cos(phase), std::sin(phase)};
 }
 
-DetectionTrialOutcome run_detection_trial(ReactiveJammer& jammer,
-                                          const DetectionTrialPlan& plan,
-                                          std::size_t trial) {
+}  // namespace
+
+dsp::cfloat cfo_phasor(double w, std::uint64_t k) noexcept {
+  const std::complex<double> p = cfo_anchor(w, k);
+  return dsp::cfloat{static_cast<float>(p.real()),
+                     static_cast<float>(p.imag())};
+}
+
+void cfo_rotate_add(std::span<const dsp::cfloat> x, double w,
+                    std::span<dsp::cfloat> out) noexcept {
+  const double step_re = std::cos(w);
+  const double step_im = std::sin(w);
+  for (std::size_t k0 = 0; k0 < x.size(); k0 += kCfoAnchorSamples) {
+    const std::complex<double> anchor = cfo_anchor(w, k0);
+    double re = anchor.real();
+    double im = anchor.imag();
+    const std::size_t end = std::min(x.size(), k0 + kCfoAnchorSamples);
+    for (std::size_t k = k0; k < end; ++k) {
+      out[k] += x[k] * dsp::cfloat{static_cast<float>(re),
+                                   static_cast<float>(im)};
+      const double next_re = re * step_re - im * step_im;
+      im = re * step_im + im * step_re;
+      re = next_re;
+    }
+  }
+}
+
+void synthesize_trial_capture(const DetectionTrialPlan& plan,
+                              std::size_t trial, dsp::cvec& capture) {
   // Each trial owns a derived RNG stream: impairments depend only on the
   // trial index, never on which trials ran before (or on which thread).
   dsp::Xoshiro256 rng(dsp::derive_seed(plan.seed, trial));
@@ -70,15 +103,21 @@ DetectionTrialOutcome run_detection_trial(ReactiveJammer& jammer,
   const dsp::cvec& frame = plan.variants[rng.uniform_int(plan.variants.size())];
 
   dsp::NoiseSource noise(plan.noise_power, noise_seed);
-  dsp::cvec capture(plan.lead_in + frame.size() + plan.tail);
+  capture.resize(plan.lead_in + frame.size() + plan.tail);
   for (auto& s : capture) s = noise.sample();
 
-  // Per-trial carrier frequency offset; phase evaluated in double and
-  // wrapped, so long captures keep full precision (see cfo_phasor()).
+  // Per-trial carrier frequency offset; phase kept in double and
+  // re-anchored, so long captures keep full precision (see cfo_phasor()).
   const double cfo = (2.0 * rng.uniform() - 1.0) * plan.max_cfo_hz;
   const double w = 2.0 * std::numbers::pi * cfo / fpga::kBasebandRateHz;
-  for (std::size_t k = 0; k < frame.size(); ++k)
-    capture[plan.lead_in + k] += frame[k] * cfo_phasor(w, k);
+  cfo_rotate_add(frame, w, std::span(capture).subspan(plan.lead_in));
+}
+
+DetectionTrialOutcome run_detection_trial(ReactiveJammer& jammer,
+                                          const DetectionTrialPlan& plan,
+                                          std::size_t trial) {
+  dsp::cvec capture;
+  synthesize_trial_capture(plan, trial, capture);
 
   // §3.2 requires independent trials: flush the energy differentiator's
   // moving sums, the correlator pipeline and the trigger FSM so nothing

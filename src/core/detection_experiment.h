@@ -151,11 +151,25 @@ struct DetectionTrialOutcome {
   std::uint64_t samples_lost = 0;
 };
 
-/// Run exactly one trial of `plan`. Draws the trial's impairments from the
-/// derived stream dsp::derive_seed(plan.seed, trial), flushes the fabric's
-/// detector state, streams the capture, and reads the tap. The outcome
-/// depends only on (plan.seed, trial) and the jammer's programmed state —
-/// run_detection_trials() is a loop over this kernel.
+/// Build trial `trial`'s capture of `plan` into `capture` (resized to
+/// lead_in + frame + tail). From the derived stream
+/// dsp::derive_seed(plan.seed, trial) it draws, in this order: the noise
+/// seed (next()), the timing phase (uniform_int), and the CFO (uniform(),
+/// uniform over ±plan.max_cfo_hz). It then fills the capture with
+/// dsp::NoiseSource noise of plan.noise_power and rotate-adds the chosen
+/// variant at lead_in with cfo_rotate_add().
+///
+/// Oracle: the same capture built per sample from
+/// Xoshiro256::complex_gaussian and cfo_phasor agrees to within a float
+/// ulp, and its ADC-quantised IQ16 is identical
+/// (tests/test_core_detection_capture.cpp).
+void synthesize_trial_capture(const DetectionTrialPlan& plan,
+                              std::size_t trial, dsp::cvec& capture);
+
+/// Run exactly one trial of `plan`: synthesize_trial_capture(), then flush
+/// the fabric's detector state, stream the capture, and read the tap. The
+/// outcome depends only on (plan.seed, trial) and the jammer's programmed
+/// state — run_detection_trials() is a loop over this kernel.
 [[nodiscard]] DetectionTrialOutcome run_detection_trial(
     ReactiveJammer& jammer, const DetectionTrialPlan& plan, std::size_t trial);
 
@@ -178,6 +192,18 @@ struct DetectionTrialOutcome {
 /// thousands of radians); wrapping first keeps the error at double
 /// round-off regardless of capture length.
 [[nodiscard]] dsp::cfloat cfo_phasor(double w, std::uint64_t k) noexcept;
+
+/// out[k] += x[k] * e^{j·w·k} for k in [0, x.size()); out.size() >= x.size().
+///
+/// The phasor advances by one double-precision complex multiply per sample
+/// and re-anchors to cfo_phasor()'s double value every 64 samples, so
+/// the recurrence's round-off never builds up past 64 steps (~1e-14,
+/// against float's 6e-8). Each sample's float phasor is therefore
+/// cfo_phasor(w, k) in all but a vanishing fraction of cases, and within a
+/// float ulp of it always, at a fraction of the per-sample remainder +
+/// cos + sin cost. cfo_phasor() stays the anchor and the test oracle.
+void cfo_rotate_add(std::span<const dsp::cfloat> x, double w,
+                    std::span<dsp::cfloat> out) noexcept;
 
 /// Run the experiment: `frame_native` is the frame waveform at
 /// `config.tx_rate_hz` with arbitrary scale (re-scaled per-trial).

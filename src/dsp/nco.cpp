@@ -14,9 +14,16 @@ Nco::Nco(double freq_hz, double sample_rate_hz) : sample_rate_(sample_rate_hz) {
 
 void Nco::set_frequency(double freq_hz) noexcept {
   negative_ = freq_hz < 0.0;
-  const double f = std::abs(freq_hz);
-  phase_inc_ = static_cast<std::uint64_t>(
-      (f / sample_rate_) * 18446744073709551616.0 /* 2^64 */);
+  // Wrap |f| modulo the sample rate, as the 64-bit accumulator of a CORDIC
+  // NCO does: 1.25·fs aliases to 0.25·fs. Below fs the fraction is f/fs
+  // exactly. Unwrapped, |f| >= fs made the increment a double >= 2^64,
+  // whose conversion to uint64_t is UB (0 on x86: DC).
+  const double cycles = std::abs(freq_hz) / sample_rate_;
+  const double inc =
+      (cycles - std::floor(cycles)) * 18446744073709551616.0 /* 2^64 */;
+  // inc < 2^64 for any finite f; the check sends NaN/inf to DC.
+  phase_inc_ = inc < 18446744073709551616.0 ? static_cast<std::uint64_t>(inc)
+                                            : 0;
 }
 
 double Nco::frequency() const noexcept {

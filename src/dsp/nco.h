@@ -21,6 +21,8 @@ class Nco {
   /// Mix a block: out[n] = in[n] * e^{j phase[n]} (stateful).
   [[nodiscard]] cvec mix(std::span<const cfloat> in);
 
+  /// |freq_hz| wraps modulo the sample rate (f and f ± fs are the same
+  /// sampled tone); the sign picks the rotation direction.
   void set_frequency(double freq_hz) noexcept;
   [[nodiscard]] double frequency() const noexcept;
   void reset_phase() noexcept { phase_acc_ = 0; }

@@ -1,11 +1,25 @@
 #include "dsp/noise.h"
 
+#include <cmath>
+
+#include "dsp/simd/box_muller.h"
+
 namespace rjf::dsp {
 
 NoiseSource::NoiseSource(double power, std::uint64_t seed) noexcept
-    : power_(power), rng_(seed) {}
+    : power_(power), sigma_(std::sqrt(power / 2.0)), rng_(seed) {}
 
-cfloat NoiseSource::sample() noexcept { return rng_.complex_gaussian(power_); }
+void NoiseSource::refill() noexcept {
+  static_assert(kBlock % simd::kBoxMullerGranule == 0);
+  double u1[kBlock];
+  double u2[kBlock];
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    u1[i] = 1.0 - rng_.uniform();
+    u2[i] = rng_.uniform();
+  }
+  simd::box_muller(simd::active_isa(), u1, u2, kBlock, re_, im_);
+  next_ = 0;
+}
 
 cvec NoiseSource::block(std::size_t n) {
   cvec out(n);

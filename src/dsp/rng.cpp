@@ -6,10 +6,6 @@
 namespace rjf::dsp {
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 // splitmix64: expands one seed word into the full xoshiro state.
 constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
@@ -33,22 +29,6 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream) noexcept {
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
-}
-
-std::uint64_t Xoshiro256::next() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Xoshiro256::uniform() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t Xoshiro256::uniform_int(std::uint64_t n) noexcept {

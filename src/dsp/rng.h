@@ -24,10 +24,22 @@ class Xoshiro256 {
   explicit Xoshiro256(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
 
   /// Next raw 64-bit value.
-  [[nodiscard]] std::uint64_t next() noexcept;
+  [[nodiscard]] std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() noexcept;
+  [[nodiscard]] double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, n). n must be > 0.
   [[nodiscard]] std::uint64_t uniform_int(std::uint64_t n) noexcept;
@@ -39,6 +51,10 @@ class Xoshiro256 {
   [[nodiscard]] cfloat complex_gaussian(double variance = 1.0) noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double cached_ = 0.0;
   bool has_cached_ = false;

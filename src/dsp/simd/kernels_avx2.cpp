@@ -4,6 +4,7 @@
 // SSE4.2 TU).  When the toolchain lacks -mavx2 (or RJF_ENABLE_SIMD is
 // OFF), the entry points compile as stubs returning false and the
 // dispatcher falls back to the next-best ISA.
+#include "dsp/simd/box_muller.h"
 #include "dsp/simd/fft_kernels.h"
 #include "dsp/simd/viterbi.h"
 
@@ -11,6 +12,7 @@
 
 #include <immintrin.h>
 
+#include "dsp/simd/box_muller_impl.h"
 #include "dsp/simd/fft_kernels_impl.h"
 #include "dsp/simd/viterbi_kernels_impl.h"
 
@@ -114,6 +116,12 @@ bool fft_exec_avx2(const FftKernelRun& run, float* x) {
   return true;
 }
 
+bool box_muller_avx2(const double* u1, const double* u2, std::size_t n,
+                     double* re, double* im) noexcept {
+  box_muller_t<f64x4, u64x4>(u1, u2, n, re, im);
+  return true;
+}
+
 }  // namespace detail
 }  // namespace rjf::dsp::simd
 
@@ -131,6 +139,11 @@ bool viterbi_soft_avx2(const float*, std::size_t, std::uint64_t*, float*) {
 }
 
 bool fft_exec_avx2(const FftKernelRun&, float*) { return false; }
+
+bool box_muller_avx2(const double*, const double*, std::size_t, double*,
+                     double*) noexcept {
+  return false;
+}
 
 }  // namespace rjf::dsp::simd::detail
 

@@ -479,15 +479,22 @@ TEST(CfoPhasor, MatchesDoubleReferenceAtWimaxLength) {
   // (a WiMAX-length capture), where the pre-fix float cast of w*k only
   // resolves ~4e-6 rad granularity per ULP and drifts milliradians.
   const double w = 2.0 * std::numbers::pi * 3000.0 / 25e6;
+  // The rotate-add's phasor recurrence over 10^6 samples is the second
+  // input: rotating a frame of ones onto zeros leaves the phasors.
+  const dsp::cvec ones(1000001, dsp::cfloat{1.0f, 0.0f});
+  dsp::cvec rotated(ones.size());
+  cfo_rotate_add(ones, w, rotated);
   double worst = 0.0;
-  for (const std::uint64_t k : {1000ull, 50000ull, 100000ull, 1000000ull}) {
-    const dsp::cfloat got = cfo_phasor(w, k);
+  const auto check = [&](dsp::cfloat got, std::uint64_t k) {
     const long double phase = static_cast<long double>(w) * k;
-    const auto want_re = static_cast<double>(std::cos(phase));
-    const auto want_im = static_cast<double>(std::sin(phase));
-    worst = std::max({worst, std::abs(got.real() - want_re),
-                      std::abs(got.imag() - want_im)});
-  }
+    worst = std::max(
+        {worst, std::abs(got.real() - static_cast<double>(std::cos(phase))),
+         std::abs(got.imag() - static_cast<double>(std::sin(phase)))});
+  };
+  for (const std::uint64_t k : {1000ull, 50000ull, 100000ull, 1000000ull})
+    check(cfo_phasor(w, k), k);
+  // Every sample, so each offset 0..63 past an anchor is covered.
+  for (std::uint64_t k = 0; k < rotated.size(); ++k) check(rotated[k], k);
   // Float storage grants ~1e-7 relative precision; the pre-fix phase error
   // at k = 1e6 was ~1e-3 rad, three orders of magnitude above this bound.
   EXPECT_LT(worst, 5e-7);

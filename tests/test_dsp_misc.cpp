@@ -49,6 +49,23 @@ TEST(Nco, FrequencyAccessorRoundTrips) {
   EXPECT_NEAR(nco.frequency(), -4e6, 1.0);
 }
 
+TEST(Nco, FrequencyAtOrAboveSampleRateWrapsModuloFs) {
+  // f = fs is DC; 1.25·fs aliases to 0.25·fs (and -1.25·fs to -0.25·fs).
+  // Unwrapped, 1.25·fs converted a double >= 2^64 to uint64_t and came out
+  // at DC instead.
+  const double rate = 25e6;
+  Nco at_fs(rate, rate);
+  EXPECT_EQ(at_fs.frequency(), 0.0);
+  for (int k = 0; k < 8; ++k) EXPECT_EQ(at_fs.step(), (cfloat{1.0f, 0.0f}));
+
+  for (const double sign : {1.0, -1.0}) {
+    Nco above(sign * 1.25 * rate, rate);
+    Nco alias(sign * 0.25 * rate, rate);
+    EXPECT_NEAR(above.frequency(), sign * 0.25 * rate, 1e-6);
+    for (int k = 0; k < 16; ++k) EXPECT_EQ(above.step(), alias.step()) << k;
+  }
+}
+
 TEST(Nco, RejectsBadSampleRate) {
   EXPECT_THROW(Nco(1e6, 0.0), std::invalid_argument);
 }
