@@ -7,9 +7,10 @@
 //
 // Besides the console table, the run emits a machine-readable summary to
 // BENCH_fabric.json (override the path with RJF_BENCH_JSON): samples/s per
-// stage plus the bit-parallel, block-processing and trial-synthesis speedup
-// ratios over their per-sample / per-tick reference paths (same run, same
-// host), so the perf trajectory is trackable across commits.
+// stage plus the bit-parallel, block-processing, counts-only stream and
+// trial-synthesis speedup ratios over their per-sample / per-tick /
+// full-duplex reference paths (same run, same host), so the perf
+// trajectory is trackable across commits.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -136,11 +137,15 @@ void BM_CrossCorrelatorStepReference(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossCorrelatorStepReference);
 
-void BM_UsrpStream(benchmark::State& state) {
-  radio::UsrpN210 radio;
+void program_stream_radio(radio::UsrpN210& radio) {
   fpga::program_template(radio.core().registers(),
                          core::wifi_short_preamble_template());
   radio.write_register_now(fpga::Reg::kXcorrThreshold, 1u << 20);
+}
+
+void BM_UsrpStream(benchmark::State& state) {
+  radio::UsrpN210 radio;
+  program_stream_radio(radio);
   dsp::NoiseSource noise(0.001, 6);
   const dsp::cvec rx = noise.block(65536);
   for (auto _ : state) {
@@ -150,6 +155,24 @@ void BM_UsrpStream(benchmark::State& state) {
                           static_cast<std::int64_t>(rx.size()));
 }
 BENCHMARK(BM_UsrpStream);
+
+// The same capture through the counts-only entry a detection trial uses:
+// no per-tick output, TX waveform or burst list. stream_counts_speedup is
+// its same-run ratio over BM_UsrpStream. The capture is noise, so the
+// jammer never goes on air and the ratio is a floor: on jammed captures
+// the duplex sink does more work per sample.
+void BM_UsrpStreamCounts(benchmark::State& state) {
+  radio::UsrpN210 radio;
+  program_stream_radio(radio);
+  dsp::NoiseSource noise(0.001, 6);
+  const dsp::cvec rx = noise.block(65536);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(radio.detect(rx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rx.size()));
+}
+BENCHMARK(BM_UsrpStreamCounts);
 
 void BM_Resample20to25(benchmark::State& state) {
   dsp::NoiseSource noise(1.0, 4);
@@ -278,6 +301,10 @@ int main(int argc, char** argv) {
   const double noise_fill = collector.rate("BM_NoiseFill");
   if (noise_ref > 0.0 && noise_fill > 0.0)
     json.set("noise_fill_speedup", noise_fill / noise_ref);
+  const double stream = collector.rate("BM_UsrpStream");
+  const double stream_counts = collector.rate("BM_UsrpStreamCounts");
+  if (stream > 0.0 && stream_counts > 0.0)
+    json.set("stream_counts_speedup", stream_counts / stream);
   const double cfo_ref = collector.rate("BM_CfoPhasorReference");
   const double cfo_rotate = collector.rate("BM_CfoRotate");
   if (cfo_ref > 0.0 && cfo_rotate > 0.0)

@@ -400,6 +400,12 @@ CampaignReport run_campaign(const CampaignSpec& spec,
   std::mutex merge_mutex;
   bool append_failed = false;
 
+  // Shards still to run per point: the worker that finishes a point's last
+  // one frees its plan.
+  std::vector<std::atomic<std::size_t>> shards_left(num_points);
+  for (const ShardTask& task : remaining)
+    shards_left[task.point].fetch_add(1, std::memory_order_relaxed);
+
   const unsigned pool_size =
       run_shards(remaining, threads, [&](const ShardTask& task) {
         const DetectionTrialPlan& plan = plans.get(task.point);
@@ -436,6 +442,10 @@ CampaignReport run_campaign(const CampaignSpec& spec,
             ++record.trigger_latency_count;
           }
         }
+
+        if (shards_left[task.point].fetch_sub(
+                1, std::memory_order_acq_rel) == 1)
+          plans.release(task.point);
 
         // Durable first, merged second: a kill between the two re-runs
         // nothing (the record is already on disk; the in-memory fold is

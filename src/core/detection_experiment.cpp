@@ -55,6 +55,10 @@ const DetectionTrialPlan& LazyPlanTable::get(std::size_t point) {
   return plans_[point];
 }
 
+void LazyPlanTable::release(std::size_t point) {
+  plans_[point] = DetectionTrialPlan{};
+}
+
 namespace {
 
 // Samples between re-anchors of cfo_rotate_add()'s phasor recurrence.
@@ -124,7 +128,7 @@ DetectionTrialOutcome run_detection_trial(ReactiveJammer& jammer,
   // carries over from the previous capture.
   jammer.reset_detection_state();
 
-  const auto run = jammer.observe(capture);
+  const auto run = jammer.observe_counts(capture);
   DetectionTrialOutcome outcome;
   switch (plan.tap) {
     case DetectorTap::kXcorr: outcome.events = run.xcorr_detections; break;

@@ -107,13 +107,18 @@ class LazyPlanTable {
   LazyPlanTable(std::size_t num_points, Builder builder);
 
   /// The point's plan, building it on first use. Safe to call from any
-  /// number of workers concurrently; the reference stays valid for the
-  /// table's lifetime.
+  /// number of workers concurrently; the reference stays valid until the
+  /// point is released or the table dies.
   [[nodiscard]] const DetectionTrialPlan& get(std::size_t point);
 
   [[nodiscard]] std::size_t num_points() const noexcept {
     return plans_.size();
   }
+  /// Free the point's plan once no worker holds it or will ask for it
+  /// again (its last shard has run), so a run's plan memory peaks at the
+  /// points in flight rather than at the whole grid.
+  void release(std::size_t point);
+
   /// Plans actually built so far (diagnostics: a campaign resume should
   /// build only the points that still had shards to run).
   [[nodiscard]] std::size_t plans_built() const noexcept {

@@ -115,7 +115,7 @@ void ReactiveJammer::reset_detection_state() {
 }
 
 void ReactiveJammer::absorb_stream_faults(
-    const radio::UsrpN210::StreamResult& result) {
+    const radio::UsrpN210::StreamCounts& result) {
   if (result.overflow_gaps == 0 && !result.adc_clipped) return;
 
   obs::MetricsRegistry* m = metrics();
@@ -151,6 +151,13 @@ radio::UsrpN210::StreamResult ReactiveJammer::observe(
   radio::UsrpN210::StreamResult result = radio_.stream_fabric(rx);
   absorb_stream_faults(result);
   return result;
+}
+
+radio::UsrpN210::StreamCounts ReactiveJammer::observe_counts(
+    std::span<const dsp::cfloat> rx) {
+  const radio::UsrpN210::StreamCounts counts = radio_.detect(rx);
+  absorb_stream_faults(counts);
+  return counts;
 }
 
 void ReactiveJammer::tune(double freq_hz) {

@@ -88,6 +88,12 @@ class ReactiveJammer {
   /// and ADC models (for simulations that synthesise IQ16 directly).
   radio::UsrpN210::StreamResult observe(std::span<const dsp::IQ16> rx);
 
+  /// Counts-only observe() for callers that read only the detection and
+  /// trigger counters (UsrpN210::detect()): the same counts, fault
+  /// accounting and recovery policy, without building the TX waveform or
+  /// burst list.
+  radio::UsrpN210::StreamCounts observe_counts(std::span<const dsp::cfloat> rx);
+
   [[nodiscard]] radio::UsrpN210& radio() noexcept { return radio_; }
   [[nodiscard]] const fpga::HostFeedback& feedback() const noexcept {
     return radio_.feedback();
@@ -102,7 +108,7 @@ class ReactiveJammer {
   /// Record fault metrics and apply the recovery policy after a stream.
   /// A clean result (no gaps, no clipping) returns immediately, keeping
   /// the zero-fault path identical to the unhooked one.
-  void absorb_stream_faults(const radio::UsrpN210::StreamResult& result);
+  void absorb_stream_faults(const radio::UsrpN210::StreamCounts& result);
 
   JammerConfig config_;
   radio::UsrpN210 radio_;

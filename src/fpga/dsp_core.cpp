@@ -127,129 +127,41 @@ CoreOutput DspCore::tick(std::optional<dsp::IQ16> rx) noexcept {
   return strobe ? strobe_tick(rx.value_or(dsp::IQ16{})) : idle_tick();
 }
 
-template <bool kTraced>
-void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
-                             std::span<CoreOutput> out) noexcept {
-  std::size_t o = 0;
-  for (const dsp::IQ16 sample : rx) {
-    // --- Strobe clock: detectors + edge logic (same body as strobe_tick,
-    // with the event latch kept in a local so held_events_ stays clear).
-    CoreOutput& s = out[o++];
-    s = CoreOutput{};
-    s.vita_ticks = vita_ticks_;
-    s.rx_strobe = true;
+namespace {
 
-    const auto xc = correlator_.step(sample);
-    const auto en = energy_.step(sample);
-    jammer_.record_rx(sample);
-
-    DetectorEvents ev;
-    ev.xcorr = xc.trigger && !prev_xcorr_;
-    ev.energy_high = en.trigger_high && !prev_high_;
-    ev.energy_low = en.trigger_low && !prev_low_;
-    prev_xcorr_ = xc.trigger;
-    prev_high_ = en.trigger_high;
-    prev_low_ = en.trigger_low;
-
-    if (ev.xcorr) ++feedback_.xcorr_detections;
-    if (ev.energy_high) ++feedback_.energy_high_detections;
-    if (ev.energy_low) ++feedback_.energy_low_detections;
-
-    s.xcorr_trigger = ev.xcorr;
-    s.energy_high = ev.energy_high;
-    s.energy_low = ev.energy_low;
-
-    // When the FSM is disengaged and no event is asserted, clock() cannot
-    // change state or fire, so the call is skipped outright.
-    bool jam = false;
-    if (fsm_.engaged() || ev.any()) jam = fsm_.clock(ev);
-    if (jam) {
-      ++feedback_.jam_triggers;
-      feedback_.last_trigger_vita = vita_ticks_;
-    }
-    s.jam_trigger = jam;
-    // An idle jammer ignores a false trigger; skip the virtual clocking.
-    if (jam || jammer_.busy()) s.tx = jammer_.clock(jam);
-
-    if constexpr (kTraced) {
-      using obs::EventKind;
-      const std::uint64_t vita = vita_ticks_;
-      if (ev.xcorr) ring_->push_event(EventKind::kXcorrTrigger, vita, xc.metric);
-      if (ev.energy_high)
-        ring_->push_event(EventKind::kEnergyRise, vita, en.energy_sum);
-      if (ev.energy_low)
-        ring_->push_event(EventKind::kEnergyFall, vita, en.energy_sum);
-      const int stage = fsm_.stage();
-      if (stage != prev_stage_) {
-        prev_stage_ = stage;
-        if (ring_->want_spans())
-          ring_->push_event(EventKind::kFsmStage, vita,
-                            hw::UInt<8>(stage).u64());
-      }
-      if (jam) ring_->push_event(EventKind::kJamTrigger, vita, 0);
-      if (s.tx.rf_active != prev_rf_) {
-        ring_->push_event(s.tx.rf_active ? EventKind::kJamStart
-                                         : EventKind::kJamEnd,
-                          vita, 0);
-        prev_rf_ = s.tx.rf_active;
-      }
-      if (s.tx.sample_strobe) probe_tx_ = s.tx.sample;
-      const bool interesting =
-          ev.xcorr || ev.energy_high || ev.energy_low || jam;
-      if (ring_->strobe_gate(interesting)) {
-        obs::FabricSignals snap;
-        snap.vita_ticks = vita;
-        snap.rx = sample;
-        snap.xcorr_metric = xc.metric;
-        snap.energy_sum = en.energy_sum;
-        snap.fsm_stage = hw::UInt<8>(stage).value();
-        snap.xcorr_trigger = ev.xcorr;
-        snap.energy_high = ev.energy_high;
-        snap.energy_low = ev.energy_low;
-        snap.jam_trigger = jam;
-        snap.rf_active = s.tx.rf_active;
-        snap.tx = probe_tx_;
-        ring_->push_strobe(snap);
-      }
-      // Keep the probe mirrors coherent for a later per-tick entry.
-      probe_xcorr_metric_ = xc.metric;
-      probe_energy_sum_ = en.energy_sum;
-      probe_rx_ = sample;
-    }
-    ++vita_ticks_;
-
-    // --- Idle clocks: detector outputs hold low; only the FSM window
-    // countdown and the jammer's cycle timers can advance. With no events
-    // asserted the FSM can time out but never fire, so jam_trigger is
-    // provably false here.
-    for (std::uint32_t c = 1; c < kClocksPerSample; ++c) {
-      CoreOutput& t = out[o++];
-      t = CoreOutput{};
-      t.vita_ticks = vita_ticks_;
-      if (fsm_.engaged()) (void)fsm_.clock(DetectorEvents{});
-      if (jammer_.busy()) t.tx = jammer_.clock(false);
-      if constexpr (kTraced) {
-        using obs::EventKind;
-        const int stage = fsm_.stage();
-        if (stage != prev_stage_) {
-          prev_stage_ = stage;
-          if (ring_->want_spans())
-            ring_->push_event(EventKind::kFsmStage, vita_ticks_,
-                              hw::UInt<8>(stage).u64());
-        }
-        if (t.tx.rf_active != prev_rf_) {
-          ring_->push_event(t.tx.rf_active ? EventKind::kJamStart
-                                           : EventKind::kJamEnd,
-                            vita_ticks_, 0);
-          prev_rf_ = t.tx.rf_active;
-        }
-        if (t.tx.sample_strobe) probe_tx_ = t.tx.sample;
-      }
-      ++vita_ticks_;
-    }
+// The array form's sink: one CoreOutput per fabric tick, in order.
+class CoreOutputSink {
+ public:
+  explicit CoreOutputSink(CoreOutput* out) noexcept : next_(out) {}
+  // Field by field on purpose: a whole-struct copy makes the compiler
+  // assemble the tick in a stack temporary with narrow stores and reload
+  // it with wide loads, which defeats store forwarding.
+  // rjf: realtime
+  void tick(const CoreOutput& out) noexcept {
+    CoreOutput& slot = *next_++;
+    slot.rx_strobe = out.rx_strobe;
+    slot.xcorr_trigger = out.xcorr_trigger;
+    slot.energy_high = out.energy_high;
+    slot.energy_low = out.energy_low;
+    slot.jam_trigger = out.jam_trigger;
+    slot.tx.rf_active = out.tx.rf_active;
+    slot.tx.sample = out.tx.sample;
+    slot.tx.sample_strobe = out.tx.sample_strobe;
+    slot.vita_ticks = out.vita_ticks;
   }
-  feedback_.vita_ticks = vita_ticks_;
-}
+  // rjf: realtime
+  void quiet_tick(std::uint64_t vita) noexcept {
+    CoreOutput& slot = *next_++;
+    slot = CoreOutput{};
+    slot.vita_ticks = vita;
+  }
+  void end_sample() noexcept {}
+
+ private:
+  CoreOutput* next_;
+};
+
+}  // namespace
 
 // rjf: realtime
 void DspCore::run_block(std::span<const dsp::IQ16> rx,
@@ -257,28 +169,8 @@ void DspCore::run_block(std::span<const dsp::IQ16> rx,
   if (out.size() < rx.size() * kClocksPerSample) {
     rx = rx.first(out.size() / kClocksPerSample);
   }
-
-  if (strobe_phase_ != 0) {
-    // Misaligned entry (a caller interleaved raw tick()s): replay the exact
-    // per-tick cadence. Bit-identical to the straight-line pass.
-    std::size_t o = 0;
-    for (const dsp::IQ16 sample : rx) {
-      out[o++] = tick(sample);
-      for (std::uint32_t c = 1; c < kClocksPerSample; ++c)
-        out[o++] = tick(std::nullopt);
-    }
-    // Inline drain is the single-thread consumer seam: it runs at the block
-    // boundary, outside the wait-free producer window.
-    if (ring_ != nullptr) ring_->drain_if_inline();  // rjf-analyze: allow(realtime.call)
-    return;
-  }
-
-  if (ring_ != nullptr) {
-    run_block_body<true>(rx, out);
-    ring_->drain_if_inline();  // rjf-analyze: allow(realtime.call)
-  } else {
-    run_block_body<false>(rx, out);
-  }
+  CoreOutputSink sink(out.data());
+  run_block(rx, sink);
 }
 
 std::vector<CoreOutput> DspCore::process(std::span<const dsp::IQ16> rx) {

@@ -40,6 +40,25 @@ struct CoreOutput {
   std::uint64_t vita_ticks = 0; // fabric clock count (VITA time, GPS locked)
 };
 
+/// Where a block pass puts each fabric tick's output (DESIGN.md section 7).
+/// The block loop computes every tick exactly as tick() would and hands it
+/// to the sink, kClocksPerSample ticks per baseband sample in order, then
+/// calls end_sample(). A tick whose outputs are all low apart from the VITA
+/// stamp (no strobe, jammer idle: most ticks) arrives as quiet_tick(vita);
+/// every other tick as tick(out). Instantiating the loop with a sink that
+/// ignores both lets the compiler drop the CoreOutput altogether, so each
+/// caller pays only for what it reads. The three calls run inside the
+/// realtime block loop: they must not throw (checked here), and a sink
+/// tags its non-empty ones `rjf: realtime` so the analyzer checks that
+/// they neither allocate nor block.
+template <class S>
+concept TickSink = requires(S& sink, const CoreOutput& out,
+                            std::uint64_t vita) {
+  { sink.tick(out) } noexcept;
+  { sink.quiet_tick(vita) } noexcept;
+  { sink.end_sample() } noexcept;
+};
+
 /// Host-visible feedback flags and counters (the "Host Feedback
 /// (Synchro Flags)" path in Fig. 1).
 struct HostFeedback {
@@ -78,6 +97,12 @@ class DspCore {
   /// std::optional plumbing and idle-datapath calls out of the inner loop.
   void run_block(std::span<const dsp::IQ16> rx,
                  std::span<CoreOutput> out) noexcept;
+
+  /// The same block pass with the per-tick outputs handed to `sink`
+  /// instead of stored. Counters, VITA time, jammer state and ring events
+  /// are those of the array form whatever the sink does with the outputs.
+  template <TickSink Sink>
+  void run_block(std::span<const dsp::IQ16> rx, Sink& sink) noexcept;
 
   /// Convenience: feed a block of baseband samples (4 ticks each) and
   /// collect the per-tick outputs. Keeps full cycle accuracy.
@@ -121,14 +146,13 @@ class DspCore {
   __attribute__((noinline, cold))
 #endif
   void emit_tick(const CoreOutput& out) noexcept;
-  /// The block loop, compiled twice: the kTraced instantiation interleaves
-  /// ring emission behind the existing rare-event branches, the plain one
-  /// is the untouched fast path. Both run the same datapath computations in
-  /// the same order, which is what makes traced-vs-plain bit-identity hold
-  /// by construction.
-  template <bool kTraced>
-  void run_block_body(std::span<const dsp::IQ16> rx,
-                      std::span<CoreOutput> out) noexcept;
+  /// The block loop, compiled twice per sink: the kTraced instantiation
+  /// interleaves ring emission behind the existing rare-event branches, the
+  /// plain one is the untouched fast path. Both run the same datapath
+  /// computations in the same order, which is what makes traced-vs-plain
+  /// bit-identity hold by construction.
+  template <bool kTraced, TickSink Sink>
+  void run_block_body(std::span<const dsp::IQ16> rx, Sink& sink) noexcept;
 
   RegisterFile regs_;
   CrossCorrelator correlator_;
@@ -158,5 +182,161 @@ class DspCore {
   bool prev_rf_ = false;
   int prev_stage_ = 0;
 };
+
+// rjf: realtime
+template <TickSink Sink>
+void DspCore::run_block(std::span<const dsp::IQ16> rx, Sink& sink) noexcept {
+  if (strobe_phase_ != 0) {
+    // Misaligned entry (a caller interleaved raw tick()s): replay the exact
+    // per-tick cadence. Bit-identical to the straight-line pass.
+    for (const dsp::IQ16 sample : rx) {
+      sink.tick(tick(sample));
+      for (std::uint32_t c = 1; c < kClocksPerSample; ++c)
+        sink.tick(tick(std::nullopt));
+      sink.end_sample();
+    }
+    // Inline drain is the single-thread consumer seam: it runs at the block
+    // boundary, outside the wait-free producer window.
+    if (ring_ != nullptr) ring_->drain_if_inline();  // rjf-analyze: allow(realtime.call)
+    return;
+  }
+
+  if (ring_ != nullptr) {
+    run_block_body<true>(rx, sink);
+    ring_->drain_if_inline();  // rjf-analyze: allow(realtime.call)
+  } else {
+    run_block_body<false>(rx, sink);
+  }
+}
+
+template <bool kTraced, TickSink Sink>
+void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
+                             Sink& sink) noexcept {
+  for (const dsp::IQ16 sample : rx) {
+    // --- Strobe clock: detectors + edge logic (same body as strobe_tick,
+    // with the event latch kept in a local so held_events_ stays clear).
+    const auto xc = correlator_.step(sample);
+    const auto en = energy_.step(sample);
+    jammer_.record_rx(sample);
+
+    DetectorEvents ev;
+    ev.xcorr = xc.trigger && !prev_xcorr_;
+    ev.energy_high = en.trigger_high && !prev_high_;
+    ev.energy_low = en.trigger_low && !prev_low_;
+    prev_xcorr_ = xc.trigger;
+    prev_high_ = en.trigger_high;
+    prev_low_ = en.trigger_low;
+
+    if (ev.xcorr) ++feedback_.xcorr_detections;
+    if (ev.energy_high) ++feedback_.energy_high_detections;
+    if (ev.energy_low) ++feedback_.energy_low_detections;
+
+    // When the FSM is disengaged and no event is asserted, clock() cannot
+    // change state or fire, so the call is skipped outright.
+    bool jam = false;
+    if (fsm_.engaged() || ev.any()) jam = fsm_.clock(ev);
+    if (jam) {
+      ++feedback_.jam_triggers;
+      feedback_.last_trigger_vita = vita_ticks_;
+    }
+    // An idle jammer ignores a false trigger; skip the virtual clocking.
+    const JammerController::TxOut tx = (jam || jammer_.busy())
+                                           ? jammer_.clock(jam)
+                                           : JammerController::TxOut{};
+
+    if constexpr (kTraced) {
+      using obs::EventKind;
+      const std::uint64_t vita = vita_ticks_;
+      if (ev.xcorr) ring_->push_event(EventKind::kXcorrTrigger, vita, xc.metric);
+      if (ev.energy_high)
+        ring_->push_event(EventKind::kEnergyRise, vita, en.energy_sum);
+      if (ev.energy_low)
+        ring_->push_event(EventKind::kEnergyFall, vita, en.energy_sum);
+      const int stage = fsm_.stage();
+      if (stage != prev_stage_) {
+        prev_stage_ = stage;
+        if (ring_->want_spans())
+          ring_->push_event(EventKind::kFsmStage, vita,
+                            hw::UInt<8>(stage).u64());
+      }
+      if (jam) ring_->push_event(EventKind::kJamTrigger, vita, 0);
+      if (tx.rf_active != prev_rf_) {
+        ring_->push_event(tx.rf_active ? EventKind::kJamStart
+                                       : EventKind::kJamEnd,
+                          vita, 0);
+        prev_rf_ = tx.rf_active;
+      }
+      if (tx.sample_strobe) probe_tx_ = tx.sample;
+      const bool interesting =
+          ev.xcorr || ev.energy_high || ev.energy_low || jam;
+      if (ring_->strobe_gate(interesting)) {
+        obs::FabricSignals snap;
+        snap.vita_ticks = vita;
+        snap.rx = sample;
+        snap.xcorr_metric = xc.metric;
+        snap.energy_sum = en.energy_sum;
+        snap.fsm_stage = hw::UInt<8>(stage).value();
+        snap.xcorr_trigger = ev.xcorr;
+        snap.energy_high = ev.energy_high;
+        snap.energy_low = ev.energy_low;
+        snap.jam_trigger = jam;
+        snap.rf_active = tx.rf_active;
+        snap.tx = probe_tx_;
+        ring_->push_strobe(snap);
+      }
+      // Keep the probe mirrors coherent for a later per-tick entry.
+      probe_xcorr_metric_ = xc.metric;
+      probe_energy_sum_ = en.energy_sum;
+      probe_rx_ = sample;
+    }
+    sink.tick(CoreOutput{.rx_strobe = true,
+                         .xcorr_trigger = ev.xcorr,
+                         .energy_high = ev.energy_high,
+                         .energy_low = ev.energy_low,
+                         .jam_trigger = jam,
+                         .tx = tx,
+                         .vita_ticks = vita_ticks_});
+    ++vita_ticks_;
+
+    // --- Idle clocks: detector outputs hold low; only the FSM window
+    // countdown and the jammer's cycle timers can advance. With no events
+    // asserted the FSM can time out but never fire, so jam_trigger is
+    // provably false here.
+    for (std::uint32_t c = 1; c < kClocksPerSample; ++c) {
+      if (fsm_.engaged()) (void)fsm_.clock(DetectorEvents{});
+      const bool busy = jammer_.busy();
+      const JammerController::TxOut tx =
+          busy ? jammer_.clock(false) : JammerController::TxOut{};
+      if constexpr (kTraced) {
+        using obs::EventKind;
+        const int stage = fsm_.stage();
+        if (stage != prev_stage_) {
+          prev_stage_ = stage;
+          if (ring_->want_spans())
+            ring_->push_event(EventKind::kFsmStage, vita_ticks_,
+                              hw::UInt<8>(stage).u64());
+        }
+        if (tx.rf_active != prev_rf_) {
+          ring_->push_event(tx.rf_active ? EventKind::kJamStart
+                                         : EventKind::kJamEnd,
+                            vita_ticks_, 0);
+          prev_rf_ = tx.rf_active;
+        }
+        if (tx.sample_strobe) probe_tx_ = tx.sample;
+      }
+      if (busy) {
+        CoreOutput t;
+        t.tx = tx;
+        t.vita_ticks = vita_ticks_;
+        sink.tick(t);
+      } else {
+        sink.quiet_tick(vita_ticks_);
+      }
+      ++vita_ticks_;
+    }
+    sink.end_sample();
+  }
+  feedback_.vita_ticks = vita_ticks_;
+}
 
 }  // namespace rjf::fpga

@@ -15,8 +15,17 @@ class Adc {
  public:
   explicit Adc(unsigned bits = 14) noexcept;
 
+  /// Per-sample quantiser, and the oracle for convert(): each rail rounds
+  /// to nearest (ties to even), then saturates to [-levels, levels-1];
+  /// NaN reads as -levels. A rail clips when its rounded code falls
+  /// outside that range or it is NaN.
   [[nodiscard]] dsp::IQ16 sample(dsp::cfloat in) const noexcept;
+  /// Block form: the same codes and clip flag as sample() on every element
+  /// (a branch-free dsp::simd kernel, no libm). The two-argument form
+  /// writes into `out`, which must hold in.size() samples.
   [[nodiscard]] dsp::iqvec convert(std::span<const dsp::cfloat> in) const;
+  void convert(std::span<const dsp::cfloat> in,
+               std::span<dsp::IQ16> out) const noexcept;
 
   /// True if any sample clipped since the last clear_clip(). The flag is
   /// sticky: per-sample sample() calls OR into it, and convert() clears it

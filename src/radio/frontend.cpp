@@ -8,12 +8,11 @@
 namespace rjf::radio {
 namespace {
 
-dsp::cvec scale(std::span<const dsp::cfloat> in, double gain_db) {
+void scale(std::span<const dsp::cfloat> in, std::span<dsp::cfloat> out,
+           double gain_db) noexcept {
   const auto g = static_cast<float>(dsp::amplitude_from_db(gain_db));
-  dsp::cvec out(in.size());
   std::transform(in.begin(), in.end(), out.begin(),
                  [g](dsp::cfloat s) { return s * g; });
-  return out;
 }
 
 }  // namespace
@@ -32,12 +31,20 @@ void SbxFrontend::set_rx_gain(double db) noexcept {
   rx_gain_db_ = std::clamp(db, 0.0, kMaxGainDb);
 }
 
-dsp::cvec SbxFrontend::apply_tx(std::span<const dsp::cfloat> in) const {
-  return scale(in, tx_gain_db_);
+dsp::cvec SbxFrontend::apply_rx(std::span<const dsp::cfloat> in) const {
+  dsp::cvec out(in.size());
+  scale(in, out, rx_gain_db_);
+  return out;
 }
 
-dsp::cvec SbxFrontend::apply_rx(std::span<const dsp::cfloat> in) const {
-  return scale(in, rx_gain_db_);
+void SbxFrontend::apply_tx(std::span<const dsp::cfloat> in,
+                           std::span<dsp::cfloat> out) const noexcept {
+  scale(in, out, tx_gain_db_);
+}
+
+void SbxFrontend::apply_rx(std::span<const dsp::cfloat> in,
+                           std::span<dsp::cfloat> out) const noexcept {
+  scale(in, out, rx_gain_db_);
 }
 
 }  // namespace rjf::radio

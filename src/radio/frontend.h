@@ -31,10 +31,14 @@ class SbxFrontend {
   [[nodiscard]] double tx_gain_db() const noexcept { return tx_gain_db_; }
   [[nodiscard]] double rx_gain_db() const noexcept { return rx_gain_db_; }
 
-  /// Apply TX gain to an outgoing baseband buffer.
-  [[nodiscard]] dsp::cvec apply_tx(std::span<const dsp::cfloat> in) const;
   /// Apply RX gain to an incoming baseband buffer.
   [[nodiscard]] dsp::cvec apply_rx(std::span<const dsp::cfloat> in) const;
+  /// Apply TX (RX) gain into a caller's buffer of in.size() samples; `out`
+  /// may be `in` itself.
+  void apply_tx(std::span<const dsp::cfloat> in,
+                std::span<dsp::cfloat> out) const noexcept;
+  void apply_rx(std::span<const dsp::cfloat> in,
+                std::span<dsp::cfloat> out) const noexcept;
 
  private:
   double freq_hz_ = 2.484e9;  // WiFi channel 14 default

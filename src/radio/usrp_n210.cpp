@@ -9,10 +9,68 @@ namespace rjf::radio {
 
 namespace {
 
-// Samples per run_block() chunk. Bounds the per-tick scratch buffer
-// (kChunkSamples * kClocksPerSample CoreOutputs) while keeping the inner
-// loop long enough to amortise the chunking overhead.
+// Samples per run_block() call. Bounds how long the core runs between
+// settings-bus checks while keeping the inner loop long enough to amortise
+// the chunking overhead.
 constexpr std::size_t kChunkSamples = 8192;
+
+// Full-duplex sink: writes the TX waveform and a per-sample RF-active flag
+// straight from the block loop's tick outputs, both into buffers sized by
+// the caller, so the realtime loop never allocates. The burst list is
+// grouped from the flags after the loop (bursts_from()).
+class DuplexSink {
+ public:
+  DuplexSink(const Dac& dac, std::span<dsp::cfloat> tx,
+             std::span<std::uint8_t> on_air) noexcept
+      : dac_(dac), tx_(tx), on_air_(on_air) {}
+
+  // rjf: realtime
+  void tick(const fpga::CoreOutput& out) noexcept {
+    rf_active_ = rf_active_ || out.tx.rf_active;
+    if (out.tx.sample_strobe) tx_[n_] = dac_.sample(out.tx.sample);
+  }
+  void quiet_tick(std::uint64_t) noexcept {}
+
+  // rjf: realtime
+  void end_sample() noexcept {
+    on_air_[n_++] = rf_active_ ? 1 : 0;
+    rf_active_ = false;
+  }
+
+  // An overflow gap: the host saw none of these samples, so it cannot
+  // observe RF state across them and any open burst ends here.
+  void skip(std::size_t samples) noexcept {
+    std::fill_n(on_air_.begin() + static_cast<std::ptrdiff_t>(n_), samples,
+                std::uint8_t{0});
+    n_ += samples;
+  }
+
+ private:
+  const Dac& dac_;
+  std::span<dsp::cfloat> tx_;
+  std::span<std::uint8_t> on_air_;
+  std::size_t n_ = 0;  // block-relative index of the current sample
+  bool rf_active_ = false;
+};
+
+// The jam bursts: each maximal run of samples with the jammer on the air.
+std::vector<JamBurst> bursts_from(std::span<const std::uint8_t> on_air) {
+  std::vector<JamBurst> bursts;
+  for (std::size_t n = 0; n < on_air.size(); ++n) {
+    if (on_air[n] == 0) continue;
+    if (n == 0 || on_air[n - 1] == 0) bursts.push_back(JamBurst{n, 0});
+    ++bursts.back().length;
+  }
+  return bursts;
+}
+
+// Counts-only sink: the host reads nothing but the feedback counters.
+struct CountsSink {
+  void tick(const fpga::CoreOutput&) noexcept {}
+  void quiet_tick(std::uint64_t) noexcept {}
+  void end_sample() noexcept {}
+  void skip(std::size_t) noexcept {}
+};
 
 }  // namespace
 
@@ -27,10 +85,9 @@ void UsrpN210::write_register_now(fpga::Reg addr, std::uint32_t value) {
   core_.apply_registers();
 }
 
-UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
-  StreamResult result;
-  result.tx.assign(rx.size(), dsp::cfloat{});
-
+template <class Sink>
+void UsrpN210::run_stream(std::span<const dsp::IQ16> rx, Sink& sink,
+                          StreamCounts& counts) {
   // Wall time is measured here on the producer side: once records are
   // drained after the fact, dispatch time no longer says anything about
   // how long the stream call took.
@@ -39,8 +96,6 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
     ring_->push_event(obs::EventKind::kStreamStart, now_ticks(), rx.size());
 
   const auto before = core_.feedback();
-  std::vector<fpga::CoreOutput> trace(
-      std::min(rx.size(), kChunkSamples) * fpga::kClocksPerSample);
 
   // Receive-overflow gaps declared by the fault hook for this block,
   // converted to block-relative sample indices. The host never saw those
@@ -60,7 +115,6 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
   }
   std::size_t gap_next = 0;
 
-  bool burst_open = false;
   std::size_t n = 0;
   while (n < rx.size()) {
     // Service any in-flight settings-bus writes; re-latch on application.
@@ -68,8 +122,7 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
       core_.apply_registers();
 
     // An overflow gap starting at (or spilling over) this sample: flush the
-    // skipped span through the core without samples. The burst scan cannot
-    // observe RF state across the gap, so any open burst ends here.
+    // skipped span through the core without samples.
     if (gap_next < gaps.size() && gaps[gap_next].start_sample <= n) {
       const std::uint64_t gap_end = std::min<std::uint64_t>(
           gaps[gap_next].start_sample + gaps[gap_next].length, rx.size());
@@ -82,9 +135,9 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
         if (ring_ != nullptr)
           ring_->push_event(obs::EventKind::kDetectorFlush, now_ticks(),
                             lost * fpga::kClocksPerSample);
-        ++result.overflow_gaps;
-        result.samples_lost += lost;
-        burst_open = false;
+        ++counts.overflow_gaps;
+        counts.samples_lost += lost;
+        sink.skip(static_cast<std::size_t>(lost));
         n = static_cast<std::size_t>(gap_end);
       }
       continue;
@@ -110,40 +163,19 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
     if (gap_next < gaps.size())
       end = std::min<std::uint64_t>(end, gaps[gap_next].start_sample);
 
-    const std::size_t len = end - n;
-    const auto chunk =
-        std::span(trace).first(len * fpga::kClocksPerSample);
-    core_.run_block(rx.subspan(n, len), chunk);
-
-    // Scan the per-tick outputs for TX strobes and jam-burst boundaries.
-    for (std::size_t m = 0; m < len; ++m) {
-      bool rf_active = false;
-      for (std::uint32_t c = 0; c < fpga::kClocksPerSample; ++c) {
-        const auto& out = chunk[m * fpga::kClocksPerSample + c];
-        rf_active = rf_active || out.tx.rf_active;
-        if (out.tx.sample_strobe) result.tx[n + m] = dac_.sample(out.tx.sample);
-      }
-      if (rf_active && !burst_open) {
-        result.bursts.push_back(JamBurst{n + m, 0});
-        burst_open = true;
-      } else if (!rf_active && burst_open) {
-        burst_open = false;
-      }
-      if (burst_open) ++result.bursts.back().length;
-    }
+    core_.run_block(rx.subspan(n, end - n), sink);
     n = end;
   }
   rx_cursor_ += rx.size();
 
-  result.tx = frontend_.apply_tx(result.tx);
   const auto after = core_.feedback();
-  result.jam_triggers = after.jam_triggers - before.jam_triggers;
-  result.xcorr_detections = after.xcorr_detections - before.xcorr_detections;
-  result.energy_high_detections =
+  counts.jam_triggers = after.jam_triggers - before.jam_triggers;
+  counts.xcorr_detections = after.xcorr_detections - before.xcorr_detections;
+  counts.energy_high_detections =
       after.energy_high_detections - before.energy_high_detections;
-  result.energy_low_detections =
+  counts.energy_low_detections =
       after.energy_low_detections - before.energy_low_detections;
-  result.last_trigger_vita = after.last_trigger_vita;
+  counts.last_trigger_vita = after.last_trigger_vita;
 
   if (ring_ != nullptr) {
     ring_->push_event(
@@ -156,13 +188,24 @@ UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
     // In inline-drain mode the consumer has now seen the whole stream.
     ring_->drain_if_inline();
   }
+}
+
+UsrpN210::StreamResult UsrpN210::stream_fabric(std::span<const dsp::IQ16> rx) {
+  StreamResult result;
+  result.tx.assign(rx.size(), dsp::cfloat{});
+  on_air_.resize(rx.size());
+  DuplexSink sink(dac_, result.tx, on_air_);
+  run_stream(rx, sink, result);
+  result.bursts = bursts_from(on_air_);
+  frontend_.apply_tx(result.tx, result.tx);
   return result;
 }
 
-UsrpN210::StreamResult UsrpN210::stream(std::span<const dsp::cfloat> rx) {
-  dsp::cvec rx_gained = frontend_.apply_rx(rx);
+std::span<const dsp::IQ16> UsrpN210::receive(std::span<const dsp::cfloat> rx) {
+  rx_gained_.resize(rx.size());
+  frontend_.apply_rx(rx, rx_gained_);
   if (rx_fault_ != nullptr) {
-    rx_fault_->mutate_rx(rx_gained, rx_cursor_);
+    rx_fault_->mutate_rx(rx_gained_, rx_cursor_);
     if (ring_ != nullptr) {
       // Annotate the trace with each fault applied in this block, stamped
       // at the fabric tick of the fault's first sample.
@@ -176,10 +219,24 @@ UsrpN210::StreamResult UsrpN210::stream(std::span<const dsp::cfloat> rx) {
                           v.kind_id);
     }
   }
-  const dsp::iqvec iq = adc_.convert(rx_gained);
-  StreamResult result = stream_fabric(iq);
+  rx_iq_.resize(rx.size());
+  adc_.convert(rx_gained_, rx_iq_);
+  return rx_iq_;
+}
+
+UsrpN210::StreamResult UsrpN210::stream(std::span<const dsp::cfloat> rx) {
+  StreamResult result = stream_fabric(receive(rx));
   result.adc_clipped = adc_.clipped();
   return result;
+}
+
+UsrpN210::StreamCounts UsrpN210::detect(std::span<const dsp::cfloat> rx) {
+  const std::span<const dsp::IQ16> iq = receive(rx);
+  StreamCounts counts;
+  counts.adc_clipped = adc_.clipped();
+  CountsSink sink;
+  run_stream(iq, sink, counts);
+  return counts;
 }
 
 }  // namespace rjf::radio

@@ -46,9 +46,10 @@ class UsrpN210 {
   /// Use before streaming starts, like programming the device at start-up.
   void write_register_now(fpga::Reg addr, std::uint32_t value);
 
-  struct StreamResult {
-    dsp::cvec tx;                  // emitted jamming baseband, rx-aligned
-    std::vector<JamBurst> bursts;  // where the jammer was on the air
+  /// What a stream call leaves in the host feedback counters: the
+  /// detection and trigger counts of this block (the "Host Feedback (Synchro
+  /// Flags)" path of Fig. 1) plus its fault accounting.
+  struct StreamCounts {
     std::uint64_t jam_triggers = 0;
     std::uint64_t xcorr_detections = 0;
     std::uint64_t energy_high_detections = 0;
@@ -62,10 +63,18 @@ class UsrpN210 {
     bool adc_clipped = false;          // any sample clipped in the ADC
   };
 
+  /// A full-duplex stream call: the counts plus what the jammer emitted.
+  struct StreamResult : StreamCounts {
+    dsp::cvec tx;                  // emitted jamming baseband, rx-aligned
+    std::vector<JamBurst> bursts;  // where the jammer was on the air
+  };
+
   /// Run the radio over a block of receive baseband at 25 MSPS. The whole
   /// block is ADC-converted up front and pushed through the DSP core with
   /// DspCore::run_block(), chunked only where an in-flight settings-bus
   /// write lands (so mid-stream reconfiguration keeps its exact latency).
+  /// The TX waveform and burst list are built per sample as the fabric
+  /// emits them.
   StreamResult stream(std::span<const dsp::cfloat> rx);
 
   /// Same full-duplex pass over samples already in the fabric (DDC-output)
@@ -73,6 +82,15 @@ class UsrpN210 {
   /// simulations that synthesise fabric-domain baseband directly use this
   /// to avoid the float round-trip.
   StreamResult stream_fabric(std::span<const dsp::IQ16> rx);
+
+  /// Counts-only pass for callers that read nothing but the feedback
+  /// counters (detection trials). Runs the same chunk, settings-bus and
+  /// overflow-gap loop as stream(), so every count, VITA stamp, fault
+  /// statistic and ring event is identical, but keeps no per-tick output:
+  /// no TX waveform, DAC or burst list. Its receive buffers are reused
+  /// across calls, so a steady stream of equal-sized captures allocates
+  /// nothing.
+  StreamCounts detect(std::span<const dsp::cfloat> rx);
 
   [[nodiscard]] const fpga::HostFeedback& feedback() const noexcept {
     return core_.feedback();
@@ -113,6 +131,16 @@ class UsrpN210 {
   [[nodiscard]] std::uint64_t rx_cursor() const noexcept { return rx_cursor_; }
 
  private:
+  /// Front-end gain, rx fault hook and ADC into the reused receive
+  /// buffers; returns the fabric samples (adc_.clipped() has the clip flag).
+  std::span<const dsp::IQ16> receive(std::span<const dsp::cfloat> rx);
+  /// The stream loop shared by every entry: settings-bus service, overflow
+  /// gaps and run_block() chunks, with the per-tick outputs going to `sink`
+  /// (see usrp_n210.cpp for the two sinks).
+  template <class Sink>
+  void run_stream(std::span<const dsp::IQ16> rx, Sink& sink,
+                  StreamCounts& counts);
+
   SbxFrontend frontend_;
   Adc adc_;
   Dac dac_;
@@ -121,6 +149,11 @@ class UsrpN210 {
   obs::EventRing* ring_ = nullptr;
   RxFaultHook* rx_fault_ = nullptr;
   std::uint64_t rx_cursor_ = 0;
+  // Buffers reused across stream calls: gained rx, its ADC codes, and the
+  // per-sample RF-active flags a full-duplex stream groups into bursts.
+  dsp::cvec rx_gained_;
+  dsp::iqvec rx_iq_;
+  std::vector<std::uint8_t> on_air_;
 };
 
 }  // namespace rjf::radio

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "core/calibration.h"
 #include "core/templates.h"
 #include "dsp/resampler.h"
+#include "dsp/rng.h"
 #include "fpga/dsp_core.h"
 #include "phy80211/preamble.h"
 
@@ -59,6 +64,67 @@ TEST(Templates, ResampledTemplateMatchesFabricRateSignal) {
     return peak;
   };
   EXPECT_GT(peak_for(aware), 3 * peak_for(naive));
+}
+
+// The model's DP as a plain two-grid pass, kept as the oracle for the
+// row-streamed grid: survival P(metric > m) at every distinct metric m.
+std::map<std::uint32_t, double> two_grid_survival(
+    const fpga::CorrelatorTemplate& tpl) {
+  constexpr int kMax = 384;
+  constexpr int kDim = 2 * kMax + 1;
+  std::vector<double> cur(static_cast<std::size_t>(kDim) * kDim, 0.0);
+  std::vector<double> next(cur.size(), 0.0);
+  const auto at = [](std::vector<double>& v, int re, int im) -> double& {
+    return v[static_cast<std::size_t>(re + kMax) * kDim + (im + kMax)];
+  };
+  at(cur, 0, 0) = 1.0;
+  for (std::size_t k = 0; k < fpga::kCorrelatorLength; ++k) {
+    const int ci = tpl.coef_i[k];
+    const int cq = tpl.coef_q[k];
+    const int dre[4] = {ci + cq, ci - cq, -ci + cq, -ci - cq};
+    const int dim[4] = {ci - cq, -ci - cq, ci + cq, -ci + cq};
+    std::fill(next.begin(), next.end(), 0.0);
+    const int reach = static_cast<int>(k + 1) * 6;
+    for (int re = -reach; re <= reach; ++re)
+      for (int im = -reach; im <= reach; ++im) {
+        const double p = at(cur, re, im);
+        if (p == 0.0) continue;
+        for (int c = 0; c < 4; ++c)
+          at(next, std::clamp(re + dre[c], -kMax, kMax),
+             std::clamp(im + dim[c], -kMax, kMax)) += 0.25 * p;
+      }
+    cur.swap(next);
+  }
+  std::map<std::uint32_t, double> pmf;
+  for (int re = -kMax; re <= kMax; ++re)
+    for (int im = -kMax; im <= kMax; ++im)
+      if (const double p = at(cur, re, im); p > 0.0)
+        pmf[static_cast<std::uint32_t>(re * re + im * im)] += p;
+  double tail = 1.0;
+  for (auto& [metric, p] : pmf) {
+    tail -= p;
+    p = std::max(tail, 0.0);
+  }
+  return pmf;
+}
+
+TEST(Calibration, RowStreamedDpIsBitIdenticalToTwoGridPass) {
+  // A random template with coefficients down to -4, so some taps move
+  // mass further than the 6-per-tap reach the DP scans.
+  dsp::Xoshiro256 rng(0xCA1);
+  fpga::CorrelatorTemplate random;
+  for (std::size_t k = 0; k < fpga::kCorrelatorLength; ++k) {
+    random.coef_i[k] = static_cast<int>(rng.uniform_int(8)) - 4;
+    random.coef_q[k] = static_cast<int>(rng.uniform_int(8)) - 4;
+  }
+  for (const auto& tpl : {wifi_long_preamble_template(),
+                          wifi_short_preamble_template(), random}) {
+    const XcorrNoiseModel model(tpl);
+    const std::map<std::uint32_t, double> want = two_grid_survival(tpl);
+    ASSERT_GT(want.size(), 1000u);
+    for (const auto& [metric, survival] : want)
+      ASSERT_EQ(model.exceedance_probability(metric), survival) << metric;
+  }
 }
 
 TEST(Calibration, ExceedanceProbabilityMonotone) {

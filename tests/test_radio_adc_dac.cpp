@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "dsp/rng.h"
+
 namespace rjf::radio {
 namespace {
 
@@ -75,6 +81,75 @@ TEST(Adc, PerSampleClipFlagIsStickyUntilCleared) {
   (void)adc.sample(dsp::cfloat{-3.0f, 0.0f});
   (void)adc.convert(dsp::cvec(4, dsp::cfloat{0.25f, 0.0f}));
   EXPECT_FALSE(adc.clipped());
+}
+
+TEST(Adc, ConvertMatchesPerSampleOracleAtEveryWidth) {
+  // The block kernel against sample(): codes and the sticky clip flag, at
+  // every width, on the values a quantiser gets wrong first.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  dsp::Xoshiro256 rng(0xADC);
+  for (unsigned bits = 2; bits <= 16; ++bits) {
+    const Adc adc(bits);
+    const float levels = static_cast<float>(1u << (bits - 1));
+    std::vector<float> rails = {0.0f, -0.0f, nan, -nan, inf, -inf, 1e30f,
+                                -1e30f, denorm, -denorm, 1e-40f, -1e-40f,
+                                std::numeric_limits<float>::min(), 1.0f,
+                                -1.0f};
+    // Ties and their neighbours: the clip edges ±(levels ∓ ½) and
+    // round-half-even between in-range codes.
+    for (const float code : {levels - 0.5f, levels + 0.5f, levels - 1.5f,
+                             0.5f, 1.5f, 2.5f, levels - 1.0f, levels}) {
+      for (const float sign : {1.0f, -1.0f}) {
+        const float tie = sign * code / levels;
+        rails.push_back(tie);
+        rails.push_back(std::nextafter(tie, inf));
+        rails.push_back(std::nextafter(tie, -inf));
+      }
+    }
+    for (int k = 0; k < 200; ++k)
+      rails.push_back(static_cast<float>(3.0 * rng.uniform() - 1.5));
+
+    // Each rail alone, as I and as Q, so each clip flag is checked on its
+    // own; then the whole set in one block whose length leaves a tail.
+    std::vector<dsp::cvec> blocks;
+    for (const float r : rails) {
+      blocks.push_back({dsp::cfloat{r, 0.25f}});
+      blocks.push_back({dsp::cfloat{-0.25f, r}});
+    }
+    dsp::cvec all;
+    for (std::size_t k = 0; k + 1 < rails.size(); k += 2)
+      all.push_back(dsp::cfloat{rails[k], rails[k + 1]});
+    blocks.push_back(all);
+    all.pop_back();
+    blocks.push_back(all);
+
+    for (const dsp::cvec& block : blocks) {
+      adc.clear_clip();
+      dsp::iqvec want;
+      for (const dsp::cfloat s : block) want.push_back(adc.sample(s));
+      const bool want_clip = adc.clipped();
+      const dsp::iqvec got = adc.convert(block);
+      ASSERT_EQ(got, want) << bits << " bits, first rail " << block[0];
+      ASSERT_EQ(adc.clipped(), want_clip)
+          << bits << " bits, first rail " << block[0];
+    }
+  }
+}
+
+TEST(Adc, SaturatesNonFiniteInputs) {
+  const Adc adc(14);
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto top = static_cast<std::int16_t>(8191 << 2);
+  const auto bottom = static_cast<std::int16_t>(-8192 << 2);
+  EXPECT_EQ(adc.sample(dsp::cfloat{inf, -inf}), (dsp::IQ16{top, bottom}));
+  EXPECT_EQ(adc.sample(dsp::cfloat{1e30f, -1e30f}), (dsp::IQ16{top, bottom}));
+  EXPECT_TRUE(adc.clipped());
+  adc.clear_clip();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(adc.sample(dsp::cfloat{nan, 0.0f}), (dsp::IQ16{bottom, 0}));
+  EXPECT_TRUE(adc.clipped());
 }
 
 TEST(Adc, BitsClamped) {
