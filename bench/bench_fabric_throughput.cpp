@@ -7,9 +7,9 @@
 //
 // Besides the console table, the run emits a machine-readable summary to
 // BENCH_fabric.json (override the path with RJF_BENCH_JSON): samples/s per
-// stage plus the bit-parallel, block-processing, counts-only stream and
-// trial-synthesis speedup ratios over their per-sample / per-tick /
-// full-duplex reference paths (same run, same host), so the perf
+// stage plus the bit-parallel, block-processing, counts-only stream,
+// trial-synthesis and resampler tap-memo speedup ratios over their
+// per-sample / per-tick / full-duplex / per-tap reference paths (same run, same host), so the perf
 // trajectory is trackable across commits.
 #include <benchmark/benchmark.h>
 
@@ -174,6 +174,9 @@ void BM_UsrpStreamCounts(benchmark::State& state) {
 }
 BENCHMARK(BM_UsrpStreamCounts);
 
+// Plan synthesis: the 20 -> 25 MHz frame conversion with the per-call tap
+// memo, against the per-tap kernel evaluation it replaced (the oracle);
+// resample_speedup is the same-run ratio. One item is one input sample.
 void BM_Resample20to25(benchmark::State& state) {
   dsp::NoiseSource noise(1.0, 4);
   const dsp::cvec in = noise.block(4960);  // one 54 Mb/s frame's worth
@@ -182,6 +185,25 @@ void BM_Resample20to25(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * in.size());
 }
 BENCHMARK(BM_Resample20to25);
+
+void BM_ResampleReference(benchmark::State& state) {
+  dsp::NoiseSource noise(1.0, 4);
+  const dsp::cvec in = noise.block(4960);
+  const dsp::Resampler rs(20e6, 25e6);
+  for (auto _ : state) benchmark::DoNotOptimize(rs.resample_reference(in));
+  state.SetItemsProcessed(state.iterations() * in.size());
+}
+BENCHMARK(BM_ResampleReference);
+
+// The 802.11b DSSS plan conversion: 11 Mchip/s to the fabric's 25 MSPS.
+void BM_Resample11to25(benchmark::State& state) {
+  dsp::NoiseSource noise(1.0, 5);
+  const dsp::cvec in = noise.block(11000);  // 1 ms of chips
+  const dsp::Resampler rs(11e6, 25e6);
+  for (auto _ : state) benchmark::DoNotOptimize(rs.resample(in));
+  state.SetItemsProcessed(state.iterations() * in.size());
+}
+BENCHMARK(BM_Resample11to25);
 
 // Trial synthesis: the capture noise fill and the CFO rotate-add that
 // core::synthesize_trial_capture runs per detection trial, each against its
@@ -309,6 +331,10 @@ int main(int argc, char** argv) {
   const double cfo_rotate = collector.rate("BM_CfoRotate");
   if (cfo_ref > 0.0 && cfo_rotate > 0.0)
     json.set("cfo_rotate_speedup", cfo_rotate / cfo_ref);
+  const double resample_ref = collector.rate("BM_ResampleReference");
+  const double resample = collector.rate("BM_Resample20to25");
+  if (resample_ref > 0.0 && resample > 0.0)
+    json.set("resample_speedup", resample / resample_ref);
 
   const char* path = std::getenv("RJF_BENCH_JSON");
   const std::string out = path ? path : "BENCH_fabric.json";

@@ -21,7 +21,7 @@ class MovingSum {
   T push(T x) noexcept {
     sum_ += x - buffer_[pos_];
     buffer_[pos_] = x;
-    pos_ = (pos_ + 1) % buffer_.size();
+    if (++pos_ == buffer_.size()) pos_ = 0;  // no divide on the fabric path
     return sum_;
   }
 
@@ -53,7 +53,7 @@ class DelayLine {
   T push(T x) noexcept {
     const T out = buffer_[pos_];
     buffer_[pos_] = x;
-    pos_ = (pos_ + 1) % buffer_.size();
+    if (++pos_ == buffer_.size()) pos_ = 0;  // no divide on the fabric path
     return out;
   }
 

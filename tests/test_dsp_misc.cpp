@@ -71,15 +71,21 @@ TEST(Nco, RejectsBadSampleRate) {
 }
 
 TEST(MovingSum, MatchesBruteForce) {
-  MovingSum<std::uint64_t> ms(8);
-  std::vector<std::uint64_t> history;
-  for (std::uint64_t k = 1; k <= 50; ++k) {
-    const std::uint64_t sum = ms.push(k * k);
-    history.push_back(k * k);
-    std::uint64_t expected = 0;
-    const std::size_t start = history.size() > 8 ? history.size() - 8 : 0;
-    for (std::size_t i = start; i < history.size(); ++i) expected += history[i];
-    ASSERT_EQ(sum, expected) << "k=" << k;
+  // The ring index wraps by compare-and-reset: drive each length (the
+  // fabric's 32 and 64 included) past several wraps against a window sum
+  // recomputed from the full history.
+  for (const std::size_t length : {1u, 3u, 8u, 32u, 64u}) {
+    MovingSum<std::uint64_t> ms(length);
+    std::vector<std::uint64_t> history;
+    for (std::uint64_t k = 1; k <= 5 * length + 7; ++k) {
+      const std::uint64_t sum = ms.push(k * k);
+      history.push_back(k * k);
+      std::uint64_t expected = 0;
+      const std::size_t start =
+          history.size() > length ? history.size() - length : 0;
+      for (std::size_t i = start; i < history.size(); ++i) expected += history[i];
+      ASSERT_EQ(sum, expected) << "length=" << length << " k=" << k;
+    }
   }
 }
 
@@ -99,9 +105,12 @@ TEST(MovingSum, ZeroLengthClampedToOne) {
 }
 
 TEST(DelayLine, DelaysByExactlyN) {
-  DelayLine<int> dl(5);
-  for (int k = 0; k < 5; ++k) EXPECT_EQ(dl.push(k + 1), 0);
-  for (int k = 5; k < 20; ++k) EXPECT_EQ(dl.push(k + 1), k - 4);
+  for (const int n : {1, 3, 5, 32, 64}) {
+    DelayLine<int> dl(static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) EXPECT_EQ(dl.push(k + 1), 0) << "n=" << n;
+    for (int k = n; k < 5 * n + 7; ++k)
+      EXPECT_EQ(dl.push(k + 1), k - n + 1) << "n=" << n << " k=" << k;
+  }
 }
 
 TEST(Crc32, KnownVector) {

@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numbers>
+#include <span>
+#include <string>
 #include <utility>
 
+#include "core/scenario.h"
 #include "dsp/db.h"
+#include "dsp/noise.h"
+#include "dsp/rng.h"
 
 namespace rjf::dsp {
 namespace {
@@ -23,6 +30,27 @@ cvec tone(double freq_hz, double rate_hz, std::size_t n) {
 TEST(Resampler, RejectsNonPositiveRates) {
   EXPECT_THROW(Resampler(0.0, 25e6), std::invalid_argument);
   EXPECT_THROW(Resampler(20e6, -1.0), std::invalid_argument);
+  // Non-finite rates, and finite rates whose ratio is not, used to reach
+  // a float-to-integer conversion of a NaN or infinite output length.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Resampler(kNan, 25e6), std::invalid_argument);
+  EXPECT_THROW(Resampler(20e6, kNan), std::invalid_argument);
+  EXPECT_THROW(Resampler(kInf, 25e6), std::invalid_argument);
+  EXPECT_THROW(Resampler(20e6, kInf), std::invalid_argument);
+  EXPECT_THROW(Resampler(1e-300, 1e300), std::invalid_argument);
+  EXPECT_THROW(Resampler(1e300, 1e-300), std::invalid_argument);
+  // Delays outside [0, 1) (NaN too) reached a float-to-integer conversion
+  // of the kernel centre; both paths reject them, empty input included.
+  const Resampler rs(20e6, 25e6);
+  const cvec in(64, cfloat{1.0f, 0.0f});
+  for (const double d : {-0.25, 1.0, 3.5, kNan, kInf, -kInf}) {
+    EXPECT_THROW((void)rs.resample(in, d), std::invalid_argument) << d;
+    EXPECT_THROW((void)rs.resample_reference(in, d), std::invalid_argument) << d;
+    EXPECT_THROW((void)rs.resample({}, d), std::invalid_argument) << d;
+  }
+  // An output length past the address space throws instead of converting.
+  EXPECT_THROW((void)Resampler(1.0, 1e300).resample(in), std::length_error);
 }
 
 TEST(Resampler, OutputLengthMatchesRatio) {
@@ -167,6 +195,67 @@ TEST(Resampler, DownconversionBandLimits) {
   const cvec out = resample(in, 25e6, 20e6);
   const std::span<const cfloat> mid(out.data() + out.size() / 4, out.size() / 2);
   EXPECT_LT(mean_power_db(mid), -6.0);
+}
+
+// resample() evaluates the kernel once per distinct fractional offset and
+// reuses the taps; resample_reference() evaluates it at every tap. The two
+// must agree to the bit, not to a tolerance (DESIGN §12.2).
+void expect_bit_identical(const Resampler& rs, std::span<const cfloat> in,
+                          double delay, const std::string& what) {
+  const cvec memo = rs.resample(in, delay);
+  const cvec ref = rs.resample_reference(in, delay);
+  ASSERT_EQ(memo.size(), ref.size()) << what;
+  if (ref.empty()) return;
+  EXPECT_EQ(std::memcmp(memo.data(), ref.data(), ref.size() * sizeof(cfloat)), 0)
+      << what << " delay=" << delay;
+}
+
+TEST(Resampler, MemoMatchesReferenceBitForBit) {
+  constexpr unsigned kPhases = 8;  // DetectionConfig::timing_phases
+  // Every protocol-target frame at every plan phase, to the fabric rate.
+  for (const char* name : {"wifi_ofdm", "wifi_dsss"}) {
+    const core::ProtocolTarget& target = core::target_or_throw(name);
+    const Resampler rs(target.native_rate_hz, 25e6);
+    for (std::size_t r = 0; r < target.rates.size(); ++r) {
+      const cvec frame = core::target_frame(target, r, 100, 0xA5, 0x5D);
+      for (unsigned p = 0; p < kPhases; ++p)
+        expect_bit_identical(rs, frame, static_cast<double>(p) / kPhases,
+                             std::string(name) + " rate " + std::to_string(r));
+    }
+  }
+
+  // The paper's conversions, both directions, at a spread of delays.
+  NoiseSource noise(1.0, 17);
+  const cvec block = noise.block(3000);
+  for (const auto& [in_rate, out_rate] :
+       {std::pair{20e6, 25e6}, std::pair{25e6, 20e6}, std::pair{11e6, 25e6},
+        std::pair{11.2e6, 25e6}, std::pair{25e6, 11.2e6}, std::pair{25e6, 25e6}}) {
+    const Resampler rs(in_rate, out_rate);
+    for (const double d : {0.0, 0.125, 0.5, 0.875, 0.9999999999})
+      expect_bit_identical(rs, block, d,
+                           std::to_string(in_rate) + "->" + std::to_string(out_rate));
+  }
+
+  // Random ratios, delays and lengths, inputs shorter than the kernel
+  // (1-8 samples) included.
+  Xoshiro256 rng(2024);
+  for (int c = 0; c < 160; ++c) {
+    const double ratio = 0.3 + 3.0 * rng.uniform();
+    const double delay = rng.uniform();
+    const std::size_t n = c < 40 ? 1 + static_cast<std::size_t>(c % 8)
+                                 : 1 + rng.uniform_int(600);
+    const Resampler rs(1e6, ratio * 1e6);
+    expect_bit_identical(rs, std::span<const cfloat>(block.data(), n), delay,
+                         "case " + std::to_string(c));
+  }
+
+  // A long input at an awkward ratio: its output instants take far more
+  // distinct fractional offsets than the memo holds, so most outputs go
+  // through the direct-evaluation fallback.
+  const cvec long_in = noise.block(20000);
+  const Resampler awkward(1e6, std::numbers::pi * 1e6);
+  for (const double d : {0.0, 0.3141592653589793})
+    expect_bit_identical(awkward, long_in, d, "pi ratio");
 }
 
 }  // namespace
