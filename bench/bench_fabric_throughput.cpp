@@ -7,8 +7,9 @@
 //
 // Besides the console table, the run emits a machine-readable summary to
 // BENCH_fabric.json (override the path with RJF_BENCH_JSON): samples/s per
-// stage plus the bit-parallel, block-processing, counts-only stream,
-// trial-synthesis and resampler tap-memo speedup ratios over their
+// stage plus the bit-parallel, block-processing, counts-only stream (on
+// noise and on a jammed capture), trial-synthesis and resampler tap-memo
+// speedup ratios over their
 // per-sample / per-tick / full-duplex / per-tap reference paths (same run, same host), so the perf
 // trajectory is trackable across commits.
 #include <benchmark/benchmark.h>
@@ -21,6 +22,8 @@
 
 #include "bench/bench_util.h"
 #include "core/detection_experiment.h"
+#include "core/reactive_jammer.h"
+#include "core/scenario.h"
 #include "core/templates.h"
 #include "dsp/noise.h"
 #include "dsp/resampler.h"
@@ -173,6 +176,68 @@ void BM_UsrpStreamCounts(benchmark::State& state) {
                           static_cast<std::int64_t>(rx.size()));
 }
 BENCHMARK(BM_UsrpStreamCounts);
+
+// The same pair of entries on a capture the jammer answers: 802.11a/g
+// detection captures (54 Mb/s, 310-byte PSDU, 6 dB) back to back, through
+// the 0.1 ms reactive preset of the detection workloads, so the jammer is
+// on the air for most samples (the on_air counter of BM_UsrpStreamJammed).
+// detect_jammed_speedup is the same-run ratio of the two: where the
+// counts entry gains from owing the jam samples it never reads.
+struct JammedCapture {
+  core::JammerConfig config;
+  dsp::cvec rx;
+};
+
+const JammedCapture& jammed_capture() {
+  static const JammedCapture capture = [] {
+    const core::ProtocolTarget& ofdm = core::target_or_throw("wifi_ofdm");
+    core::DetectionRunConfig run;
+    run.snr_db = 6.0;
+    run.tx_rate_hz = ofdm.native_rate_hz;
+    run.seed = 0xB3;
+    const core::DetectionTrialPlan plan = core::prepare_detection_trials(
+        core::target_frame(ofdm, ofdm.default_rate_index, 310, 0xA5, 0x5D),
+        core::DetectorTap::kXcorr, run);
+    JammedCapture out{core::target_reactive_preset(ofdm, 1e-4), {}};
+    dsp::cvec trial;
+    for (std::size_t t = 0; out.rx.size() < 65536; ++t) {
+      core::synthesize_trial_capture(plan, t, trial);
+      out.rx.insert(out.rx.end(), trial.begin(), trial.end());
+    }
+    return out;
+  }();
+  return capture;
+}
+
+void BM_UsrpDetectJammed(benchmark::State& state) {
+  const JammedCapture& capture = jammed_capture();
+  core::ReactiveJammer jammer(capture.config);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(jammer.radio().detect(capture.rx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(capture.rx.size()));
+}
+BENCHMARK(BM_UsrpDetectJammed);
+
+void BM_UsrpStreamJammed(benchmark::State& state) {
+  const JammedCapture& capture = jammed_capture();
+  core::ReactiveJammer jammer(capture.config);
+  std::size_t on_air = 0;
+  std::size_t streamed = 0;
+  for (auto _ : state) {
+    const radio::UsrpN210::StreamResult result =
+        jammer.radio().stream(capture.rx);
+    for (const radio::JamBurst& b : result.bursts) on_air += b.length;
+    streamed += capture.rx.size();
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(capture.rx.size()));
+  state.counters["on_air"] =
+      static_cast<double>(on_air) / static_cast<double>(streamed);
+}
+BENCHMARK(BM_UsrpStreamJammed);
 
 // Plan synthesis: the 20 -> 25 MHz frame conversion with the per-call tap
 // memo, against the per-tap kernel evaluation it replaced (the oracle);
@@ -327,6 +392,10 @@ int main(int argc, char** argv) {
   const double stream_counts = collector.rate("BM_UsrpStreamCounts");
   if (stream > 0.0 && stream_counts > 0.0)
     json.set("stream_counts_speedup", stream_counts / stream);
+  const double stream_jammed = collector.rate("BM_UsrpStreamJammed");
+  const double detect_jammed = collector.rate("BM_UsrpDetectJammed");
+  if (stream_jammed > 0.0 && detect_jammed > 0.0)
+    json.set("detect_jammed_speedup", detect_jammed / stream_jammed);
   const double cfo_ref = collector.rate("BM_CfoPhasorReference");
   const double cfo_rotate = collector.rate("BM_CfoRotate");
   if (cfo_ref > 0.0 && cfo_rotate > 0.0)

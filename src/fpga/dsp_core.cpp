@@ -132,6 +132,8 @@ namespace {
 // The array form's sink: one CoreOutput per fabric tick, in order.
 class CoreOutputSink {
  public:
+  static constexpr bool kReadsTx = true;
+
   explicit CoreOutputSink(CoreOutput* out) noexcept : next_(out) {}
   // Field by field on purpose: a whole-struct copy makes the compiler
   // assemble the tick in a stack temporary with narrow stores and reload

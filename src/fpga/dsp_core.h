@@ -9,6 +9,7 @@
 // of its latency arithmetic.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -44,16 +45,19 @@ struct CoreOutput {
 /// The block loop computes every tick exactly as tick() would and hands it
 /// to the sink, kClocksPerSample ticks per baseband sample in order, then
 /// calls end_sample(). A tick whose outputs are all low apart from the VITA
-/// stamp (no strobe, jammer idle: most ticks) arrives as quiet_tick(vita);
+/// stamp (no strobe, RF off: most ticks) arrives as quiet_tick(vita);
 /// every other tick as tick(out). Instantiating the loop with a sink that
 /// ignores both lets the compiler drop the CoreOutput altogether, so each
-/// caller pays only for what it reads. The three calls run inside the
-/// realtime block loop: they must not throw (checked here), and a sink
-/// tags its non-empty ones `rjf: realtime` so the analyzer checks that
-/// they neither allocate nor block.
+/// caller pays only for what it reads. A sink whose kReadsTx is false
+/// never reads tx.sample, so the untraced loop does not synthesise jam
+/// samples for it (their generator state is settled arithmetically). The
+/// three calls run inside the realtime block loop: they must not throw
+/// (checked here), and a sink tags its non-empty ones `rjf: realtime` so
+/// the analyzer checks that they neither allocate nor block.
 template <class S>
 concept TickSink = requires(S& sink, const CoreOutput& out,
                             std::uint64_t vita) {
+  { S::kReadsTx } -> std::convertible_to<bool>;
   { sink.tick(out) } noexcept;
   { sink.quiet_tick(vita) } noexcept;
   { sink.end_sample() } noexcept;
@@ -186,9 +190,10 @@ class DspCore {
 // rjf: realtime
 template <TickSink Sink>
 void DspCore::run_block(std::span<const dsp::IQ16> rx, Sink& sink) noexcept {
-  if (strobe_phase_ != 0) {
-    // Misaligned entry (a caller interleaved raw tick()s): replay the exact
-    // per-tick cadence. Bit-identical to the straight-line pass.
+  if (strobe_phase_ != 0 || !jammer_.sample_aligned()) {
+    // Misaligned entry (a caller interleaved raw tick()s, or skipped air
+    // time from mid-sample and left a burst out of step with the strobe):
+    // replay the exact per-tick cadence.
     for (const dsp::IQ16 sample : rx) {
       sink.tick(tick(sample));
       for (std::uint32_t c = 1; c < kClocksPerSample; ++c)
@@ -212,7 +217,11 @@ void DspCore::run_block(std::span<const dsp::IQ16> rx, Sink& sink) noexcept {
 template <bool kTraced, TickSink Sink>
 void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
                              Sink& sink) noexcept {
+  // Jam samples that nothing reads are owed, not synthesised, and settled
+  // below, so the jammer leaves this call exactly as the per-tick model.
+  constexpr bool kGenerateTx = kTraced || Sink::kReadsTx;
   for (const dsp::IQ16 sample : rx) {
+    const std::uint64_t vita = vita_ticks_;
     // --- Strobe clock: detectors + edge logic (same body as strobe_tick,
     // with the event latch kept in a local so held_events_ stays clear).
     const auto xc = correlator_.step(sample);
@@ -237,16 +246,18 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
     if (fsm_.engaged() || ev.any()) jam = fsm_.clock(ev);
     if (jam) {
       ++feedback_.jam_triggers;
-      feedback_.last_trigger_vita = vita_ticks_;
+      feedback_.last_trigger_vita = vita;
     }
-    // An idle jammer ignores a false trigger; skip the virtual clocking.
-    const JammerController::TxOut tx = (jam || jammer_.busy())
-                                           ? jammer_.clock(jam)
-                                           : JammerController::TxOut{};
+    // The jammer's whole sample period at once: the trigger can only land
+    // on this strobe clock, which keeps the jammer in step with the strobe
+    // (DESIGN.md section 7). An idle jammer ignores a false trigger.
+    const JammerController::SampleTx tx =
+        (jam || jammer_.busy()) ? jammer_.clock_sample<kGenerateTx>(jam)
+                                : JammerController::SampleTx{};
+    const bool rf_on = tx.rf_clocks > 0;  // the strobe clock issues a sample
 
     if constexpr (kTraced) {
       using obs::EventKind;
-      const std::uint64_t vita = vita_ticks_;
       if (ev.xcorr) ring_->push_event(EventKind::kXcorrTrigger, vita, xc.metric);
       if (ev.energy_high)
         ring_->push_event(EventKind::kEnergyRise, vita, en.energy_sum);
@@ -260,13 +271,12 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
                             hw::UInt<8>(stage).u64());
       }
       if (jam) ring_->push_event(EventKind::kJamTrigger, vita, 0);
-      if (tx.rf_active != prev_rf_) {
-        ring_->push_event(tx.rf_active ? EventKind::kJamStart
-                                       : EventKind::kJamEnd,
+      if (rf_on != prev_rf_) {
+        ring_->push_event(rf_on ? EventKind::kJamStart : EventKind::kJamEnd,
                           vita, 0);
-        prev_rf_ = tx.rf_active;
+        prev_rf_ = rf_on;
       }
-      if (tx.sample_strobe) probe_tx_ = tx.sample;
+      if (rf_on) probe_tx_ = tx.sample;
       const bool interesting =
           ev.xcorr || ev.energy_high || ev.energy_low || jam;
       if (ring_->strobe_gate(interesting)) {
@@ -280,7 +290,7 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
         snap.energy_high = ev.energy_high;
         snap.energy_low = ev.energy_low;
         snap.jam_trigger = jam;
-        snap.rf_active = tx.rf_active;
+        snap.rf_active = rf_on;
         snap.tx = probe_tx_;
         ring_->push_strobe(snap);
       }
@@ -294,48 +304,40 @@ void DspCore::run_block_body(std::span<const dsp::IQ16> rx,
                          .energy_high = ev.energy_high,
                          .energy_low = ev.energy_low,
                          .jam_trigger = jam,
-                         .tx = tx,
-                         .vita_ticks = vita_ticks_});
-    ++vita_ticks_;
+                         .tx = {.rf_active = rf_on,
+                                .sample = tx.sample,
+                                .sample_strobe = rf_on},
+                         .vita_ticks = vita});
 
-    // --- Idle clocks: detector outputs hold low; only the FSM window
-    // countdown and the jammer's cycle timers can advance. With no events
-    // asserted the FSM can time out but never fire, so jam_trigger is
-    // provably false here.
+    // --- Idle clocks: detector outputs hold low, so the FSM can time out
+    // but never fire, and RF stays as the jammer's period left it.
+    const std::uint64_t rearm =
+        fsm_.engaged() ? fsm_.idle_clocks(kClocksPerSample - 1) : 0;
     for (std::uint32_t c = 1; c < kClocksPerSample; ++c) {
-      if (fsm_.engaged()) (void)fsm_.clock(DetectorEvents{});
-      const bool busy = jammer_.busy();
-      const JammerController::TxOut tx =
-          busy ? jammer_.clock(false) : JammerController::TxOut{};
+      const bool rf = c < tx.rf_clocks;
       if constexpr (kTraced) {
         using obs::EventKind;
-        const int stage = fsm_.stage();
-        if (stage != prev_stage_) {
-          prev_stage_ = stage;
+        if (c == rearm) {
+          prev_stage_ = 0;
           if (ring_->want_spans())
-            ring_->push_event(EventKind::kFsmStage, vita_ticks_,
-                              hw::UInt<8>(stage).u64());
+            ring_->push_event(EventKind::kFsmStage, vita + c, 0);
         }
-        if (tx.rf_active != prev_rf_) {
-          ring_->push_event(tx.rf_active ? EventKind::kJamStart
-                                         : EventKind::kJamEnd,
-                            vita_ticks_, 0);
-          prev_rf_ = tx.rf_active;
+        if (rf != prev_rf_) {
+          ring_->push_event(rf ? EventKind::kJamStart : EventKind::kJamEnd,
+                            vita + c, 0);
+          prev_rf_ = rf;
         }
-        if (tx.sample_strobe) probe_tx_ = tx.sample;
       }
-      if (busy) {
-        CoreOutput t;
-        t.tx = tx;
-        t.vita_ticks = vita_ticks_;
-        sink.tick(t);
+      if (rf) {
+        sink.tick(CoreOutput{.tx = {.rf_active = true}, .vita_ticks = vita + c});
       } else {
-        sink.quiet_tick(vita_ticks_);
+        sink.quiet_tick(vita + c);
       }
-      ++vita_ticks_;
     }
     sink.end_sample();
+    vita_ticks_ = vita + kClocksPerSample;
   }
+  if constexpr (!kGenerateTx) jammer_.settle_tx();
   feedback_.vita_ticks = vita_ticks_;
 }
 

@@ -48,6 +48,27 @@ bool TriggerFsm::clock(const DetectorEvents& events) noexcept {
   return false;
 }
 
+std::uint64_t TriggerFsm::idle_clocks(std::uint64_t n) noexcept {
+  if (stage_ == 0) return 0;
+  // Idle clock k leaves elapsed_ at (e + k) mod 2^32, as wrap_inc does, and
+  // rearms on the first k where that exceeds a non-zero window. In 64 bits
+  // neither sum wraps, so a window near 2^32 is not stepped past: with
+  // the window at 2^32 - 1 no 32-bit count exceeds it, and from
+  // e = 2^32 - 1 the count wraps to 0 before it can.
+  const std::uint64_t e = elapsed_.u64();
+  const std::uint64_t w = window_cycles_.u64();
+  constexpr std::uint64_t kTop = hw::UInt<32>::kMax;
+  if (w != 0 && w != kTop) {
+    const std::uint64_t expiry = e == kTop ? w + 2 : (e >= w ? 1 : w + 1 - e);
+    if (expiry <= n) {
+      reset();
+      return expiry;
+    }
+  }
+  elapsed_ = hw::wrap_u<32>(e + n);
+  return 0;
+}
+
 void TriggerFsm::reset() noexcept {
   stage_ = 0;
   elapsed_ = hw::UInt<32>();

@@ -55,6 +55,12 @@ class TriggerFsm {
   /// Advance one fabric clock. Returns true on the cycle the jam trigger fires.
   bool clock(const DetectorEvents& events) noexcept;
 
+  /// Advance `n` clocks with no event asserted: the same state as n
+  /// clock({}) calls, which can time the window out but never fire.
+  /// Returns the clock (1..n) on which the window expired and the FSM
+  /// rearmed, or 0 if it did not.
+  std::uint64_t idle_clocks(std::uint64_t n) noexcept;
+
   [[nodiscard]] int stage() const noexcept { return stage_; }
 
   /// True while a partially-matched trigger sequence is pending. When not
@@ -63,6 +69,9 @@ class TriggerFsm {
   [[nodiscard]] bool engaged() const noexcept { return stage_ > 0; }
 
   void reset() noexcept;
+
+  /// Same configuration, stage and window count.
+  bool operator==(const TriggerFsm&) const = default;
 
  private:
   hw::UInt<4> masks_[3];     // one 4-bit event mask per stage

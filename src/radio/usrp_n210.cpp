@@ -20,6 +20,8 @@ constexpr std::size_t kChunkSamples = 8192;
 // grouped from the flags after the loop (bursts_from()).
 class DuplexSink {
  public:
+  static constexpr bool kReadsTx = true;
+
   DuplexSink(const Dac& dac, std::span<dsp::cfloat> tx,
              std::span<std::uint8_t> on_air) noexcept
       : dac_(dac), tx_(tx), on_air_(on_air) {}
@@ -64,8 +66,10 @@ std::vector<JamBurst> bursts_from(std::span<const std::uint8_t> on_air) {
   return bursts;
 }
 
-// Counts-only sink: the host reads nothing but the feedback counters.
+// Counts-only sink: the host reads nothing but the feedback counters, so
+// the block loop owes the jam samples instead of synthesising them.
 struct CountsSink {
+  static constexpr bool kReadsTx = false;
   void tick(const fpga::CoreOutput&) noexcept {}
   void quiet_tick(std::uint64_t) noexcept {}
   void end_sample() noexcept {}

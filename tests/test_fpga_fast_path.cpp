@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/fabric_units.h"
@@ -14,6 +15,7 @@
 #include "dsp/rng.h"
 #include "fpga/cross_correlator.h"
 #include "fpga/dsp_core.h"
+#include "obs/event_ring.h"
 #include "phy80211/preamble.h"
 
 namespace rjf::fpga {
@@ -293,6 +295,160 @@ TEST(RunBlockEquivalence, MisalignedStrobePhaseFallsBackToTickCadence) {
       ++tick_index;
     }
   }
+}
+
+// Noise with a short preamble every `every` samples and, between them, a
+// loud noise burst, and a correlator threshold at half the preamble's
+// peak: detections, jam bursts, and energy rises with no xcorr after them
+// (program_jammer's two-stage FSM times out on those).
+dsp::iqvec jammed_stream(std::size_t n, std::size_t every,
+                         std::uint32_t& threshold) {
+  const dsp::iqvec burst = fabric_preamble(phy80211::short_preamble(), 0.5f);
+  CrossCorrelator c;
+  const auto tpl = core::wifi_short_preamble_template();
+  c.set_coefficients(tpl.coef_i, tpl.coef_q);
+  std::uint32_t peak = 0;
+  for (const auto s : burst) peak = std::max(peak, c.step(s).metric);
+  threshold = peak / 2;
+  dsp::iqvec stream = noise_stream(n, 0.002, 31);
+  const dsp::iqvec loud = noise_stream(300, 0.05, 32);
+  for (std::size_t at = every / 4; at + every / 2 + burst.size() < n;
+       at += every) {
+    std::copy(loud.begin(), loud.end(),
+              stream.begin() + static_cast<std::ptrdiff_t>(at));
+    std::copy(burst.begin(), burst.end(),
+              stream.begin() + static_cast<std::ptrdiff_t>(at + every / 2));
+  }
+  return stream;
+}
+
+TEST(RunBlockEquivalence, JammerOutOfStepFallsBackToTickCadence) {
+  // A burst started on a clock that is not a sample strobe (here by
+  // clocking the jammer directly) is out of step with the block loop's
+  // per-sample patterns until it ends: run_block must replay the per-tick
+  // cadence while it lasts, then pick the block loop up again.
+  std::uint32_t threshold = 0;
+  const dsp::iqvec stream = jammed_stream(30'000, 3000, threshold);
+  // Offsets 3 and 7 would land where a strobe-clock trigger leaves it.
+  for (const std::uint32_t offset : {0u, 1u, 2u, 4u, 5u, 6u}) {
+    DspCore tick_core;
+    DspCore block_core;
+    program_jammer(tick_core, threshold);
+    program_jammer(block_core, threshold);
+    for (DspCore* core : {&tick_core, &block_core}) {
+      (void)core->jammer().clock(true);
+      for (std::uint32_t c = 0; c < offset; ++c) (void)core->jammer().clock(false);
+    }
+    ASSERT_FALSE(block_core.jammer().sample_aligned()) << "offset " << offset;
+    std::uint64_t tick_index = 0;
+    constexpr std::size_t kChunk = 37;
+    std::vector<CoreOutput> block_out(kChunk * kClocksPerSample);
+    for (std::size_t n = 0; n < stream.size(); n += kChunk) {
+      const std::size_t len = std::min(kChunk, stream.size() - n);
+      block_core.run_block(std::span(stream).subspan(n, len),
+                           std::span(block_out).first(len * kClocksPerSample));
+      for (std::size_t k = 0; k < len; ++k) {
+        for (std::uint32_t c = 0; c < kClocksPerSample; ++c) {
+          const CoreOutput ref =
+              tick_core.tick(c == 0 ? std::optional<dsp::IQ16>(stream[n + k])
+                                    : std::nullopt);
+          expect_outputs_equal(block_out[k * kClocksPerSample + c], ref,
+                               tick_index);
+          ++tick_index;
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      ASSERT_TRUE(block_core.jammer() == tick_core.jammer())
+          << "offset " << offset << ", sample " << n + len;
+    }
+    EXPECT_GT(block_core.feedback().jam_triggers, 0u);
+  }
+}
+
+// Every ring record, flattened to integers.
+class RingLog final : public obs::FabricSink {
+ public:
+  void on_event(obs::EventKind kind, std::uint64_t vita,
+                std::uint64_t value) override {
+    records.push_back({0, static_cast<std::uint64_t>(kind), vita, value});
+  }
+  void on_strobe(const obs::FabricSignals& s) override {
+    records.push_back({1, s.vita_ticks, pack(s.rx), s.xcorr_metric,
+                       s.energy_sum, s.fsm_stage, s.xcorr_trigger,
+                       s.energy_high, s.energy_low, s.jam_trigger,
+                       s.rf_active, pack(s.tx)});
+  }
+  std::vector<std::vector<std::uint64_t>> records;
+
+ private:
+  static std::uint64_t pack(dsp::IQ16 s) {
+    return static_cast<std::uint16_t>(s.i) |
+           (std::uint64_t{static_cast<std::uint16_t>(s.q)} << 16);
+  }
+};
+
+// Ring records of the traced block loop and of the per-tick path on the
+// same stream, for program_jammer's FSM with a `window`-clock window.
+void expect_traced_rings_match(std::span<const dsp::IQ16> stream,
+                               std::uint32_t threshold, std::uint32_t window) {
+  DspCore tick_core;
+  DspCore block_core;
+  for (DspCore* core : {&tick_core, &block_core}) {
+    program_jammer(*core, threshold);
+    core->registers().write(Reg::kTriggerWindow, window);
+    core->apply_registers();
+  }
+  obs::EventRing tick_ring(obs::RingConfig{.strobe_sample_period = 7});
+  obs::EventRing block_ring(obs::RingConfig{.strobe_sample_period = 7});
+  RingLog tick_log;
+  RingLog block_log;
+  tick_ring.set_consumer(&tick_log, true);
+  block_ring.set_consumer(&block_log, true);
+  tick_core.set_ring(&tick_ring);
+  block_core.set_ring(&block_ring);
+
+  constexpr std::size_t kChunk = 4099;
+  for (std::size_t n = 0; n < stream.size(); n += kChunk) {
+    const std::size_t len = std::min(kChunk, stream.size() - n);
+    (void)block_core.process(stream.subspan(n, len));
+    for (std::size_t k = n; k < n + len; ++k) {
+      (void)tick_core.tick(stream[k]);
+      for (std::uint32_t c = 1; c < kClocksPerSample; ++c)
+        (void)tick_core.tick(std::nullopt);
+    }
+    tick_ring.drain();
+  }
+  tick_core.set_ring(nullptr);
+  block_core.set_ring(nullptr);
+
+  const std::string where = "window " + std::to_string(window);
+  ASSERT_EQ(tick_log.records.size(), block_log.records.size()) << where;
+  for (std::size_t k = 0; k < tick_log.records.size(); ++k)
+    ASSERT_EQ(tick_log.records[k], block_log.records[k])
+        << where << ", record " << k;
+  // The trace must hold what it claims to compare: FSM timeouts back to
+  // stage 0 beyond the fires, and jam bursts that end.
+  std::size_t stage_zero = 0;
+  std::size_t jam_ends = 0;
+  for (const auto& r : block_log.records) {
+    if (r[0] != 0) continue;
+    const auto kind = static_cast<obs::EventKind>(r[1]);
+    if (kind == obs::EventKind::kFsmStage && r[3] == 0) ++stage_zero;
+    if (kind == obs::EventKind::kJamEnd) ++jam_ends;
+  }
+  EXPECT_GT(stage_zero, block_core.feedback().jam_triggers) << where;
+  EXPECT_GT(jam_ends, 0u) << where;
+}
+
+TEST(RunBlockEquivalence, TracedRingRecordsMatchPerTickTrace) {
+  // The traced block loop publishes per-sample state (FSM timeouts and RF
+  // edges inside a sample) at the ticks the per-tick path would: same
+  // records, same order, same VITA stamps. Windows of 300-303 clocks time
+  // a sequence out on each tick of a sample.
+  std::uint32_t threshold = 0;
+  const dsp::iqvec stream = jammed_stream(40'000, 2500, threshold);
+  for (std::uint32_t window = 300; window < 304; ++window)
+    expect_traced_rings_match(stream, threshold, window);
 }
 
 TEST(RunBlockEquivalence, ProcessStillReturnsPerTickTrace) {

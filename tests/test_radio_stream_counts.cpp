@@ -6,6 +6,7 @@
 // DspCore::process()'s per-tick outputs.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -244,6 +245,94 @@ TEST(StreamCounts, MatchesFullDuplexFromMisalignedStrobePhase) {
       }
     });
     EXPECT_GT(pair.detections, 0u);
+  }
+}
+
+// The counts entry owes the jam samples it does not synthesise and settles
+// them arithmetically. Afterwards the jammer must stand exactly where
+// full-duplex streaming leaves it, down to the noise LFSR and the replay
+// and host-stream cursors: its state compares equal, and a following
+// full-duplex capture's TX is byte-identical to a twin's that streamed
+// full-duplex throughout.
+TEST(StreamCounts, LeavesJammerWhereFullDuplexDoes) {
+  const core::ProtocolTarget& ofdm = core::target_or_throw("wifi_ofdm");
+  struct Case {
+    std::string name;
+    core::JammerConfig config;
+    bool reset_between = false;  // reset_detection_state() before captures
+    bool two_frames = false;     // two frames per stream: a trigger lands
+                                 // while the last burst's samples are owed
+  };
+  const core::JammerConfig noise = personality(ofdm, 0);  // 100-sample WGN
+  const core::JammerConfig replay = personality(ofdm, 1);  // delay 20
+  core::JammerConfig host = noise;
+  host.waveform = fpga::JamWaveform::kHostStream;
+  core::JammerConfig one_sample = noise;
+  one_sample.jam_uptime_samples = 1;
+  core::JammerConfig long_burst = noise;
+  long_burst.jam_uptime_samples = 100'000;  // longer than a capture
+  const std::vector<Case> cases = {
+      {"white noise", noise},
+      {"replay, surgical delay", replay},
+      {"host stream", host},
+      {"uptime 1 sample", one_sample},
+      {"uptime past the capture", long_burst},
+      {"white noise, reset between captures", noise, true},
+      {"host stream, reset between captures", host, true},
+      {"replay, two frames per stream", replay, false, true},
+      {"host stream, two frames per stream", host, false, true},
+  };
+  std::vector<dsp::IQ16> host_wave;
+  for (std::int16_t k = 0; k < 37; ++k)
+    host_wave.push_back(dsp::IQ16{static_cast<std::int16_t>(50 * k),
+                                  static_cast<std::int16_t>(-30 * k)});
+
+  const core::DetectionTrialPlan plan = plan_for(ofdm, 6.0);
+  for (const Case& c : cases) {
+    RigPair pair(c.config, false);
+    for (Rig* rig : {&pair.full, &pair.counts})
+      rig->jammer.radio().core().jammer().set_host_waveform(host_wave);
+    dsp::cvec capture;
+    dsp::cvec second;
+    std::uint64_t max_triggers = 0;
+    bool busy_at_end = false;
+    for (std::size_t t = 0; t < 16; ++t) {
+      const std::string where = c.name + ", capture " + std::to_string(t);
+      core::synthesize_trial_capture(plan, t, capture);
+      if (c.two_frames) {
+        core::synthesize_trial_capture(plan, t + 100, second);
+        capture.insert(capture.end(), second.begin(), second.end());
+      }
+      if (c.reset_between) pair.reset();
+      if (t % 4 == 3) {
+        const UsrpN210::StreamResult a = pair.full.jammer.observe(capture);
+        const UsrpN210::StreamResult b = pair.counts.jammer.observe(capture);
+        ASSERT_EQ(a.tx.size(), b.tx.size()) << where;
+        EXPECT_EQ(std::memcmp(a.tx.data(), b.tx.data(),
+                              a.tx.size() * sizeof(dsp::cfloat)),
+                  0)
+            << where;
+      } else {
+        const std::uint64_t before = pair.jam_triggers;
+        pair.stream(capture, where);
+        max_triggers = std::max(max_triggers, pair.jam_triggers - before);
+      }
+      fpga::JammerController& a = pair.full.jammer.radio().core().jammer();
+      fpga::JammerController& b = pair.counts.jammer.radio().core().jammer();
+      EXPECT_EQ(a.jam_count(), b.jam_count()) << where;
+      EXPECT_EQ(a.cycles_jamming(), b.cycles_jamming()) << where;
+      EXPECT_EQ(a.busy(), b.busy()) << where;
+      EXPECT_EQ(a.rf_active(), b.rf_active()) << where;
+      ASSERT_TRUE(a == b) << where;
+      busy_at_end = busy_at_end || a.busy();
+    }
+    EXPECT_GT(pair.jam_triggers, 0u) << c.name;
+    if (c.two_frames) {
+      EXPECT_GE(max_triggers, 2u) << c.name;
+    }
+    if (c.config.jam_uptime_samples > 10'000) {
+      EXPECT_TRUE(busy_at_end) << c.name;
+    }
   }
 }
 
